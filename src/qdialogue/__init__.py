@@ -57,4 +57,4 @@ from .protocol import (
     run_round_original,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -26,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 from .bell_core import (
-    BellIndex,
+    ALL_INDICES,
     PauliCode,
     Qubit,
     TwoQubitState,
+    UniformSource,
     apply_pauli,
     bell_measure,
     bell_state,
@@ -99,7 +98,7 @@ class AdversaryChannel:
         self._leg = "idle"
 
     def on_forward(
-        self, world: TwoQubitState, rng: np.random.Generator
+        self, world: TwoQubitState, rng: UniformSource
     ) -> TwoQubitState:
         """Intercept the travel qubit on its way Bob -> Alice.
 
@@ -115,13 +114,14 @@ class AdversaryChannel:
             return collapsed
         if self.strategy == BELL_SUBSTITUTION:
             self.eve.stored_bob_pair = world
-            self.eve.eve_code = random_code(rng)
-            self.eve.eve_pair = bell_state(BellIndex(*self.eve.eve_code))
+            code = self.eve.eve_code = random_code(rng)
+            # Eve prepares the Bell pair labelled by the code she drew
+            self.eve.eve_pair = bell_state(ALL_INDICES[2 * code.k + code.l])
             return self.eve.eve_pair
         return world
 
     def on_return(
-        self, world: TwoQubitState, rng: np.random.Generator
+        self, world: TwoQubitState, rng: UniformSource
     ) -> TwoQubitState:
         """Intercept the travel qubit on its way Alice -> Bob.
 

@@ -14,18 +14,36 @@ anchor pair:
 
 i.e. the encoding always acts on the travel qubit, the one a party is
 physically holding when they encode.
+
+States are immutable, so the pure steps (a Pauli on a state, the Born
+probabilities of a Bell measurement, the marginal and collapses of a
+computational-basis measurement) are memoized, keyed by the amplitude
+bytes.  A simulator visits only a few dozen distinct states; every memo
+holds at most MEMO_CAP entries and starts over when full.  Sampling reads
+one uniform per measurement and inverts the outcome CDF, so any object with
+a ``random()`` method returning floats in [0, 1) can drive it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import Protocol
 
 import numpy as np
 
 NORM_ATOL = 1e-9
+MEMO_CAP = 1024
 
 _BITS = (0, 1)
+
+
+class UniformSource(Protocol):
+    """Where sampling gets its uniforms: a numpy Generator, or the harness's row cursor."""
+
+    def random(self) -> float:
+        """One uniform draw in [0, 1)."""
 
 
 class Qubit(Enum):
@@ -33,6 +51,10 @@ class Qubit(Enum):
 
     HOME = "home"
     TRAVEL = "travel"
+
+    # members are singletons compared by identity, so the identity hash is
+    # correct, and it is much cheaper than Enum's hash of the member name
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -103,6 +125,8 @@ class TwoQubitState:
         object.__setattr__(self, "amps", arr)
 
 
+# the label (a, b) sits at position 2a + b of both tuples; code that looks
+# labels up by their bits relies on this order
 ALL_CODES = (PauliCode(0, 0), PauliCode(0, 1), PauliCode(1, 0), PauliCode(1, 1))
 ALL_INDICES = (BellIndex(0, 0), BellIndex(0, 1), BellIndex(1, 0), BellIndex(1, 1))
 
@@ -133,18 +157,35 @@ _BIT_OF = {
     Qubit.TRAVEL: np.array([0, 1, 0, 1]),
 }
 
-# states are immutable, so the four Bell states can be shared singletons
-_BELL_STATES = {idx: TwoQubitState(amps) for idx, amps in _BELL_AMPS.items()}
+# states are immutable, so the four Bell states can be shared singletons,
+# listed in ALL_INDICES order
+_BELL_STATES = tuple(TwoQubitState(_BELL_AMPS[idx]) for idx in ALL_INDICES)
+
+# memos of the pure steps, keyed by amplitude bytes (see the module docstring)
+_PAULI_MEMO: dict[tuple, TwoQubitState] = {}
+_BELL_CDF_MEMO: dict[bytes, tuple[float, ...]] = {}
+_COMPUTATIONAL_MEMO: dict[tuple, list] = {}
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def bell_state(idx: BellIndex) -> TwoQubitState:
     """Return the Bell state labelled by ``idx``."""
-    return _BELL_STATES[idx]
+    return _BELL_STATES[2 * idx.x + idx.y]
 
 
 def apply_pauli(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
     """Apply the 2x2 operator U_code to the chosen qubit of ``state``."""
-    return TwoQubitState(_OPS[(code, target)] @ state.amps)
+    key = (state.amps.tobytes(), code.k, code.l, target)
+    out = _PAULI_MEMO.get(key)
+    if out is None:
+        out = _remember(_PAULI_MEMO, key, TwoQubitState(_OPS[(code, target)] @ state.amps))
+    return out
 
 
 def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
@@ -158,43 +199,58 @@ def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
     return PhasedPauli(PauliCode(outer.k ^ inner.k, outer.l ^ inner.l), complex(sign))
 
 
+def _bell_cdf(state: TwoQubitState) -> tuple[float, ...]:
+    """Cumulative Born probabilities of the Bell outcomes, in ALL_INDICES order."""
+    key = state.amps.tobytes()
+    cdf = _BELL_CDF_MEMO.get(key)
+    if cdf is None:
+        probs = np.abs(_BELL_CONJ @ state.amps) ** 2
+        total = float(probs.sum())
+        if abs(total - 1.0) > NORM_ATOL:
+            raise ValueError(f"Bell probabilities sum to {total}, not 1")
+        cdf = _remember(_BELL_CDF_MEMO, key, tuple(np.cumsum(probs).tolist()))
+    return cdf
+
+
 def bell_measure(
-    state: TwoQubitState, rng: np.random.Generator
+    state: TwoQubitState, rng: UniformSource
 ) -> tuple[BellIndex, TwoQubitState]:
     """Measure the pair in the Bell basis.
 
     Samples the outcome with its Born probability and returns the outcome
     label together with the collapsed (post-measurement) state.
     """
-    probs = np.abs(_BELL_CONJ @ state.amps) ** 2
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORM_ATOL:
-        raise ValueError(f"Bell probabilities sum to {total}, not 1")
-    r = rng.random() * total
-    acc = 0.0
-    outcome = ALL_INDICES[-1]
-    for idx, p in zip(ALL_INDICES, probs):
-        acc += float(p)
-        if r < acc:
-            outcome = idx
-            break
-    return outcome, bell_state(outcome)
+    cdf = _bell_cdf(state)
+    # inverse CDF: the first outcome whose cumulative weight exceeds u * total
+    i = min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
+    return ALL_INDICES[i], _BELL_STATES[i]
 
 
 def measure_computational(
-    state: TwoQubitState, target: Qubit, rng: np.random.Generator
+    state: TwoQubitState, target: Qubit, rng: UniformSource
 ) -> tuple[int, TwoQubitState]:
     """Measure one qubit in the computational basis.
 
     Returns the sampled bit and the collapsed, renormalized pair state.
     """
-    bits = _BIT_OF[target]
-    weights = np.abs(state.amps) ** 2
-    p_one = float(weights[bits == 1].sum())
+    key = (state.amps.tobytes(), target)
+    entry = _COMPUTATIONAL_MEMO.get(key)
+    if entry is None:
+        weights = np.abs(state.amps) ** 2
+        # [P(bit = 1), collapse on 0, collapse on 1]; a collapse is built on
+        # first use, since a bit of probability 0 has none
+        entry = _remember(
+            _COMPUTATIONAL_MEMO, key, [float(weights[_BIT_OF[target] == 1].sum()), None, None]
+        )
+    p_one = entry[0]
     bit = 1 if rng.random() < p_one else 0
-    kept = np.where(bits == bit, state.amps, 0.0)
-    p_bit = p_one if bit else 1.0 - p_one
-    return bit, TwoQubitState(kept / np.sqrt(p_bit))
+    post = entry[1 + bit]
+    if post is None:
+        bits = _BIT_OF[target]
+        kept = np.where(bits == bit, state.amps, 0.0)
+        p_bit = p_one if bit else 1.0 - p_one
+        post = entry[1 + bit] = TwoQubitState(kept / np.sqrt(p_bit))
+    return bit, post
 
 
 def decode_bits(outcome: BellIndex, own: PauliCode) -> PauliCode:
@@ -203,7 +259,7 @@ def decode_bits(outcome: BellIndex, own: PauliCode) -> PauliCode:
     On single bits |x - k| is the same as x xor k, which is what the
     measurement index arithmetic reduces to.
     """
-    return PauliCode(outcome.x ^ own.k, outcome.y ^ own.l)
+    return ALL_CODES[2 * (outcome.x ^ own.k) + (outcome.y ^ own.l)]
 
 
 def overlap(a: TwoQubitState, b: TwoQubitState) -> complex:
@@ -211,7 +267,6 @@ def overlap(a: TwoQubitState, b: TwoQubitState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def random_code(rng: np.random.Generator) -> PauliCode:
-    """Draw a uniformly random two-bit code."""
-    v = int(rng.integers(4))
-    return PauliCode(v >> 1, v & 1)
+def random_code(rng: UniformSource) -> PauliCode:
+    """Draw a uniformly random two-bit code: ALL_CODES[floor(4u)]."""
+    return ALL_CODES[int(4 * rng.random())]

@@ -7,7 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 from .adversary import STRATEGIES
 from .harness import (
@@ -16,10 +20,12 @@ from .harness import (
     codes_to_text,
     delivered_codes,
     exact_oracle,
+    iter_rounds,
     run_sessions,
+    summarize,
+    tee_transcripts,
     text_to_codes,
     write_summary,
-    write_transcripts,
 )
 from .protocol import ORIGINAL, PROTOCOLS
 
@@ -83,6 +89,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _replaced_on_success(path: str) -> Iterator[IO[str]]:
+    """Write to a temp file beside ``path``; move it there only if the block succeeds.
+
+    A failed or interrupted run then leaves no truncated file at ``path``.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        # mkstemp creates the file 0600; give it the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8") as sink:
+            yield sink
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = RunConfig(
         protocol=args.protocol,
@@ -96,14 +126,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    summary, transcripts = run_sessions(config)
+    # one streaming pass: no round outlives its summary update and its line
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as sink:
-                write_transcripts(transcripts, sink)
+            with _replaced_on_success(args.output) as sink:
+                summary = summarize(tee_transcripts(iter_rounds(config), sink))
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            # strerror alone: the exception's file name may be the temp file's
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
+    else:
+        summary = summarize(iter_rounds(config))
     if args.format == "text":
         print(f"protocol  {config.protocol}")
         print(f"strategy  {config.strategy}")

@@ -1,12 +1,21 @@
 """Experiment runner, exact enumeration oracle, metrics and serialization.
 
 The Monte Carlo runner draws every piece of round randomness (modes, codes,
-Eve's choices, measurement outcomes) from a per-round substream so that runs
-are reproducible and rounds are independent.  The split rule is:
+Eve's choices, measurement outcomes) from one counter-style stream of
+uniforms per run:
 
-    round i uses numpy's default_rng(SeedSequence(seed, spawn_key=(i,)))
+    round i reads row i, the ROW_WIDTH uniforms at offset i * ROW_WIDTH
+    of numpy's Generator(PCG64(seed)).random() stream
 
-which makes merged metrics independent of execution order.
+Rows are drawn in blocks of ``Generator.random((n, ROW_WIDTH))``, which
+fills them in that order.  A round takes its uniforms in order through a
+``UniformRow`` cursor that raises ``RowOverdrawError`` if it asks for more
+than ROW_WIDTH; unread ones are skipped.  A code is ALL_CODES[floor(4u)], a
+mode is CM iff u < p_cm, and a measurement outcome is the inverse CDF of
+its Born probabilities at u.  Because a round's row depends only on
+(seed, i), a shorter run is a prefix of a longer one, and a chunk of
+rounds [a, b) can start anywhere with ``PCG64(seed).advance(a * ROW_WIDTH)``
+(see ``uniform_rows``) and be merged in any order.
 
 The oracle side never touches the statevector simulator: it enumerates the
 finitely many discrete branches of each strategy with exact rational
@@ -26,7 +35,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +68,10 @@ class ConfigurationError(ValueError):
     """A run configuration field is out of range or unknown."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Everything that determines a run; equal configs give identical runs."""
@@ -78,8 +91,10 @@ class RunConfig:
             raise ConfigurationError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if not _is_int(self.rounds) or self.rounds < 1:
             raise ConfigurationError(f"rounds must be a positive integer, got {self.rounds!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.p_cm <= 1.0:
             raise ConfigurationError(f"p_cm must lie in [0, 1], got {self.p_cm!r}")
         if self.message_source not in MESSAGE_SOURCES:
@@ -114,28 +129,63 @@ class RunSummary:
 SUMMARY_COLUMNS = tuple(f.name for f in fields(RunSummary))
 
 
-def _round_rng(seed: int, round_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(round_id,)))
+ROW_WIDTH = 8  # uniforms per round; a modified bell-substitution round reads 7
+BLOCK_ROWS = 1024  # rows drawn per Generator.random call
 
 
-def _draw_mode(rng: np.random.Generator, p_cm: float) -> Mode:
+class RowOverdrawError(RuntimeError):
+    """A round asked for more than ROW_WIDTH uniforms; this signals a harness bug."""
+
+
+class UniformRow:
+    """One round's uniforms, handed out in order by ``random()``."""
+
+    __slots__ = ("_next",)
+
+    def __init__(self, values: Sequence[float]):
+        self._next = iter(values).__next__
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            raise RowOverdrawError(f"a round asked for more than {ROW_WIDTH} uniforms") from None
+
+
+def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
+    """Rows start .. stop-1 of the run's uniform stream (see the module docstring)."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(start * ROW_WIDTH)
+    generator = np.random.Generator(bit_generator)
+    for first in range(start, stop, BLOCK_ROWS):
+        yield from generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist()
+
+
+def _draw_mode(rng: UniformRow, p_cm: float) -> Mode:
     return Mode.CM if rng.random() < p_cm else Mode.MM
 
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
-    """Yield the run's transcripts one round at a time."""
+    """The run's transcripts, one round at a time; the config is validated first."""
     config.validate()
+    return rounds_from_rows(config, uniform_rows(config.seed, 0, config.rounds))
+
+
+def rounds_from_rows(
+    config: RunConfig, rows: Iterable[Sequence[float]], first_round: int = 0
+) -> Iterator[RoundTranscript]:
+    """Play one round per row of uniforms, numbering them from ``first_round``."""
     text_mode = config.message_source == TEXT
     alice_queue = deque(text_to_codes(config.alice_text)) if text_mode else deque()
     bob_queue = deque(text_to_codes(config.bob_text)) if text_mode else deque()
 
-    def next_bits(queue: deque, carries_message: bool, rng: np.random.Generator) -> PauliCode:
+    def next_bits(queue: deque, carries_message: bool, rng: UniformRow) -> PauliCode:
         if text_mode and carries_message and queue:
             return queue.popleft()
         return random_code(rng)
 
-    for i in range(config.rounds):
-        rng = _round_rng(config.seed, i)
+    for i, row in enumerate(rows, first_round):
+        rng = UniformRow(row)
         channel = AdversaryChannel(config.strategy)
         if config.protocol == ORIGINAL:
             alice_mode = _draw_mode(rng, config.p_cm)
@@ -487,11 +537,20 @@ def parse_transcript_line(line: str) -> RoundTranscript:
     return record_to_transcript(json.loads(line))
 
 
-def write_transcripts(transcripts: Iterable[RoundTranscript], sink: IO[str]) -> None:
-    """Write transcripts as JSON lines, one round per line."""
+def tee_transcripts(
+    transcripts: Iterable[RoundTranscript], sink: IO[str]
+) -> Iterator[RoundTranscript]:
+    """Yield each transcript after writing it to ``sink`` as one JSON line."""
     for t in transcripts:
         sink.write(transcript_to_line(t))
         sink.write("\n")
+        yield t
+
+
+def write_transcripts(transcripts: Iterable[RoundTranscript], sink: IO[str]) -> None:
+    """Write transcripts as JSON lines, one round per line."""
+    for _ in tee_transcripts(transcripts, sink):
+        pass
 
 
 def summary_to_record(summary: RunSummary) -> dict:

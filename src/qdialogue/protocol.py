@@ -26,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .adversary import AdversaryChannel, EveReport
 from .bell_core import (
+    ALL_CODES,
+    ALL_INDICES,
     BellIndex,
     PauliCode,
     Qubit,
+    UniformSource,
     apply_pauli,
     bell_measure,
     bell_state,
@@ -45,6 +46,7 @@ PROTOCOLS = (ORIGINAL, MODIFIED)
 
 ALICE = "alice"
 BOB = "bob"
+SPEAKERS = (ALICE, BOB)
 
 RECEIPT_ACK = "receipt-ack"
 MODE_REVEAL = "mode-reveal"
@@ -58,6 +60,10 @@ class Mode(Enum):
 
     MM = "MM"
     CM = "CM"
+
+    # members are singletons compared by identity, so the identity hash is
+    # correct, and it is much cheaper than Enum's hash of the member name
+    __hash__ = object.__hash__
 
 
 _PAYLOAD_TYPE = {
@@ -77,7 +83,7 @@ class Announcement:
     payload: Mode | BellIndex | PauliCode | None
 
     def __post_init__(self) -> None:
-        if self.speaker not in (ALICE, BOB):
+        if self.speaker not in SPEAKERS:
             raise ValueError(f"unknown speaker {self.speaker!r}")
         if self.kind not in ANNOUNCEMENT_KINDS:
             raise ValueError(f"unknown announcement kind {self.kind!r}")
@@ -87,6 +93,26 @@ class Announcement:
                 f"{self.kind} payload must be {expected.__name__}, "
                 f"got {type(self.payload).__name__}"
             )
+
+
+# every announcement a round can make, built once through the validating
+# constructor; rounds look them up instead of building them afresh
+_ANNOUNCEMENTS = {
+    (a.speaker, a.kind, a.payload): a
+    for speaker in SPEAKERS
+    for kind, payloads in (
+        (RECEIPT_ACK, (None,)),
+        (MODE_REVEAL, tuple(Mode)),
+        (OUTCOME_REVEAL, ALL_INDICES),
+        (OP_REVEAL, ALL_CODES),
+    )
+    for a in (Announcement(speaker, kind, p) for p in payloads)
+}
+
+
+def _announce(speaker: str, kind: str, payload=None) -> Announcement:
+    # a miss can only be an invalid announcement, which the constructor rejects
+    return _ANNOUNCEMENTS.get((speaker, kind, payload)) or Announcement(speaker, kind, payload)
 
 
 @dataclass(frozen=True)
@@ -122,17 +148,17 @@ def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> 
     The round is clean iff the measured index equals the XOR of the two
     codes, which is what an undisturbed pair always produces.
     """
-    return outcome == BellIndex(bob_code.k ^ alice_code.k, bob_code.l ^ alice_code.l)
+    return outcome == ALL_INDICES[2 * (bob_code.k ^ alice_code.k) + (bob_code.l ^ alice_code.l)]
 
 
 def _quantum_exchange(
     bob_bits: PauliCode,
     alice_bits: PauliCode,
     channel: AdversaryChannel | None,
-    rng: np.random.Generator,
+    rng: UniformSource,
 ) -> BellIndex:
     """Run the mode-independent quantum part of a round, return Bob's outcome."""
-    state = bell_state(BellIndex(0, 0))
+    state = bell_state(ALL_INDICES[0])
     state = apply_pauli(state, bob_bits, Qubit.TRAVEL)
     if channel is not None:
         state = channel.on_forward(state, rng)
@@ -157,7 +183,7 @@ def run_round_original(
     alice_mode: Mode,
     alice_bits: PauliCode,
     channel: AdversaryChannel | None,
-    rng: np.random.Generator,
+    rng: UniformSource,
     *,
     round_id: int = 0,
     suppress_outcome_reveal: bool = False,
@@ -171,9 +197,9 @@ def run_round_original(
     announcements, which is what an eavesdropper reads.
     """
     announcements: list[Announcement] = []
-    announcements.append(Announcement(ALICE, RECEIPT_ACK, None))
+    announcements.append(_announce(ALICE, RECEIPT_ACK))
     outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
-    announcements.append(Announcement(ALICE, MODE_REVEAL, alice_mode))
+    announcements.append(_announce(ALICE, MODE_REVEAL, alice_mode))
 
     check_performed = False
     check_passed = None
@@ -181,11 +207,11 @@ def run_round_original(
     alice_decoded = None
     if alice_mode is Mode.MM:
         if not suppress_outcome_reveal:
-            announcements.append(Announcement(BOB, OUTCOME_REVEAL, outcome))
+            announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
         bob_decoded = decode_bits(outcome, bob_bits)
         alice_decoded = decode_bits(outcome, alice_bits)
     else:
-        announcements.append(Announcement(ALICE, OP_REVEAL, alice_bits))
+        announcements.append(_announce(ALICE, OP_REVEAL, alice_bits))
         check_performed = True
         check_passed = cm_check(outcome, bob_bits, alice_bits)
 
@@ -212,7 +238,7 @@ def run_round_modified(
     alice_mode: Mode,
     alice_bits: PauliCode,
     channel: AdversaryChannel | None,
-    rng: np.random.Generator,
+    rng: UniformSource,
     *,
     round_id: int = 0,
 ) -> RoundTranscript:
@@ -224,27 +250,27 @@ def run_round_modified(
     Bob's reveals.
     """
     announcements: list[Announcement] = []
-    announcements.append(Announcement(ALICE, RECEIPT_ACK, None))
+    announcements.append(_announce(ALICE, RECEIPT_ACK))
     outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
-    announcements.append(Announcement(BOB, MODE_REVEAL, bob_mode))
-    announcements.append(Announcement(ALICE, MODE_REVEAL, alice_mode))
+    announcements.append(_announce(BOB, MODE_REVEAL, bob_mode))
+    announcements.append(_announce(ALICE, MODE_REVEAL, alice_mode))
 
     check_performed = False
     check_passed = None
     bob_decoded = None
     alice_decoded = None
     if bob_mode is Mode.CM and alice_mode is Mode.CM:
-        announcements.append(Announcement(ALICE, OP_REVEAL, alice_bits))
-        announcements.append(Announcement(BOB, OP_REVEAL, bob_bits))
-        announcements.append(Announcement(BOB, OUTCOME_REVEAL, outcome))
+        announcements.append(_announce(ALICE, OP_REVEAL, alice_bits))
+        announcements.append(_announce(BOB, OP_REVEAL, bob_bits))
+        announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
         check_performed = True
         check_passed = cm_check(outcome, bob_bits, alice_bits)
     elif bob_mode is Mode.MM and alice_mode is Mode.MM:
-        announcements.append(Announcement(BOB, OUTCOME_REVEAL, outcome))
+        announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
         bob_decoded = decode_bits(outcome, bob_bits)
         alice_decoded = decode_bits(outcome, alice_bits)
     elif alice_mode is Mode.CM:  # Bob in MM: one-way transfer Bob -> Alice
-        announcements.append(Announcement(BOB, OUTCOME_REVEAL, outcome))
+        announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
         alice_decoded = decode_bits(outcome, alice_bits)
     else:  # Alice in MM, Bob in CM: one-way transfer Alice -> Bob, no reveal
         bob_decoded = decode_bits(outcome, bob_bits)

@@ -19,11 +19,13 @@ from conftest import (
     two_qubit_states,
 )
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from qdialogue import bell_core
 from qdialogue.bell_core import (
     ALL_CODES,
     ALL_INDICES,
+    MEMO_CAP,
     BellIndex,
     PauliCode,
     PhasedPauli,
@@ -38,6 +40,7 @@ from qdialogue.bell_core import (
     overlap,
     random_code,
 )
+from qdialogue.harness import RunConfig, run_sessions
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -307,3 +310,70 @@ class TestRandomStream:
         rng = np.random.default_rng(3)
         seen = {random_code(rng) for _ in range(200)}
         assert seen == set(ALL_CODES)
+
+
+class TestMemoizedSteps:
+    """The memoized steps against the plain numpy computation from the oracle."""
+
+    @settings(max_examples=60)
+    @given(two_qubit_states(), codes, st.sampled_from([Qubit.HOME, Qubit.TRAVEL]))
+    def test_apply_pauli(self, state, code, target):
+        lift = on_travel if target is Qubit.TRAVEL else on_home
+        expected = lift(U_ORACLE[(code.k, code.l)]) @ state.amps
+        for _ in range(2):  # the second call is answered from the memo
+            np.testing.assert_allclose(apply_pauli(state, code, target).amps, expected, atol=1e-12)
+
+    @settings(max_examples=60)
+    @given(two_qubit_states(), st.floats(0, 1, exclude_max=True))
+    def test_bell_measure(self, state, u):
+        probs = [abs(np.vdot(oracle_bell(x, y), state.amps)) ** 2 for x, y in BIT_PAIRS]
+        cdf = np.cumsum(probs)
+        first = next((i for i, c in enumerate(cdf) if u * cdf[-1] < c), 3)
+        # skip draws within rounding of a CDF step, where either side is right
+        assume(all(abs(u * cdf[-1] - c) >= 1e-9 for c in cdf))
+        x, y = BIT_PAIRS[first]
+        for _ in range(2):
+            outcome, post = bell_measure(state, _FixedRng(u))
+            assert outcome == BellIndex(x, y)
+            np.testing.assert_allclose(post.amps, oracle_bell(x, y), atol=1e-12)
+
+    @settings(max_examples=60)
+    @given(
+        two_qubit_states(),
+        st.sampled_from([Qubit.HOME, Qubit.TRAVEL]),
+        st.floats(0, 1, exclude_max=True),
+    )
+    def test_measure_computational(self, state, target, u):
+        bit_of = np.array([0, 0, 1, 1]) if target is Qubit.HOME else np.array([0, 1, 0, 1])
+        p_one = float(np.sum(np.abs(state.amps[bit_of == 1]) ** 2))
+        assume(abs(u - p_one) >= 1e-9)
+        bit = int(u < p_one)
+        kept = np.where(bit_of == bit, state.amps, 0)
+        expected = kept / np.linalg.norm(kept)
+        for _ in range(2):
+            got, post = measure_computational(state, target, _FixedRng(u))
+            assert got == bit
+            np.testing.assert_allclose(post.amps, expected, atol=1e-9)
+
+    def test_memos_stay_within_their_cap(self):
+        rng = np.random.default_rng(8)
+        memos = (bell_core._PAULI_MEMO, bell_core._BELL_CDF_MEMO, bell_core._COMPUTATIONAL_MEMO)
+        for _ in range(3 * MEMO_CAP):
+            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+            state = TwoQubitState(vec / np.linalg.norm(vec))
+            apply_pauli(state, ALL_CODES[1], Qubit.TRAVEL)
+            bell_measure(state, rng)
+            measure_computational(state, Qubit.TRAVEL, rng)
+            assert all(len(memo) <= MEMO_CAP for memo in memos)
+        assert all(len(memo) > 0 for memo in memos)
+
+    def test_simulator_states_repeat(self):
+        # a run visits few distinct states (56 Pauli and 22 Bell-measurement
+        # keys over both protocols and every strategy), which is what makes the memos pay
+        bell_core._PAULI_MEMO.clear()
+        bell_core._BELL_CDF_MEMO.clear()
+        for protocol in ("original", "modified"):
+            for strategy in ("none", "disturbance", "measure-resend", "bell-substitution"):
+                run_sessions(RunConfig(protocol, strategy, rounds=1000, seed=4))
+        assert len(bell_core._PAULI_MEMO) <= 64
+        assert len(bell_core._BELL_CDF_MEMO) <= 32

@@ -1,7 +1,11 @@
 """End-to-end CLI tests driven through main(argv)."""
 
 import json
+import os
 
+import pytest
+
+from qdialogue import harness
 from qdialogue.cli import main
 from qdialogue.harness import parse_transcript_line
 
@@ -98,7 +102,58 @@ class TestRunCommand:
             "/nonexistent-dir/rounds.jsonl",
         )
         assert code == 1
+        assert err.startswith("error: cannot write /nonexistent-dir/rounds.jsonl: ")
+        assert ".tmp" not in err  # the temp file is no concern of the user's
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--seed", "-1")
+        assert code == 2
+        assert err.startswith("error: seed")
+
+    def test_output_file_gets_the_umask_mode(self, capsys, tmp_path):
+        path = tmp_path / "rounds.jsonl"
+        umask = os.umask(0o027)
+        try:
+            assert run_cli(capsys, "run", "--rounds", "5", "--output", str(path))[0] == 0
+        finally:
+            os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_output_directory_target_is_io_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--rounds", "5", "--output", str(tmp_path))
+        assert code == 1
         assert "cannot write" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_that_fails_partway_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "rounds.jsonl"
+        real = harness.transcript_to_line
+        written = []
+
+        def failing(t):
+            if len(written) == 30:
+                raise RuntimeError("simulated failure mid-run")
+            written.append(t)
+            return real(t)
+
+        monkeypatch.setattr(harness, "transcript_to_line", failing)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            main(["run", "--rounds", "100", "--output", str(path)])
+        assert len(written) == 30
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
+
+    def test_failed_run_keeps_the_previous_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "rounds.jsonl"
+        path.write_text("previous\n")
+
+        def interrupted(t):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "transcript_to_line", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--rounds", "10", "--output", str(path)])
+        assert path.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_seed_determines_output(self, capsys):
         _, out1, _ = run_cli(capsys, "run", "--rounds", "200", "--seed", "5", "--format", "records")
@@ -192,6 +247,13 @@ class TestDialogueCommand:
         assert "eve's copy of alice's text: 'hi'" in out
         assert "eve's copy of bob's text:   (nothing)" in out
         assert "alice recovered 'ok'" in out  # Alice still gets the outcome privately
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "dialogue", "--alice-text", "hi", "--bob-text", "ok", "--seed", "-3"
+        )
+        assert code == 2
+        assert err.startswith("error: seed")
 
     def test_missing_text_flags_are_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "dialogue", "--attack", "none", "--alice-text", "hi")

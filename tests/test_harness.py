@@ -9,28 +9,35 @@ import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qdialogue.adversary import STRATEGIES
+from qdialogue.adversary import BELL_SUBSTITUTION, STRATEGIES
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.harness import (
+    ROW_WIDTH,
     SUMMARY_COLUMNS,
     ConfigurationError,
+    RowOverdrawError,
     RunConfig,
+    UniformRow,
     codes_to_text,
     delivered_codes,
     exact_oracle,
+    iter_rounds,
     parse_transcript_line,
+    rounds_from_rows,
     run_sessions,
     summarize,
     summary_to_record,
     text_to_codes,
     transcript_to_line,
+    uniform_rows,
     write_summary,
     write_transcripts,
 )
-from qdialogue.protocol import MODIFIED, ORIGINAL, PROTOCOLS
+from qdialogue.protocol import MODIFIED, ORIGINAL, PROTOCOLS, Mode
 
 
 def dump(transcripts) -> str:
@@ -57,6 +64,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="message_source"):
             RunConfig(message_source="carrier-pigeon").validate()
 
+    def test_bool_rounds_rejected(self):
+        with pytest.raises(ConfigurationError, match="rounds"):
+            RunConfig(rounds=True).validate()
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            RunConfig(seed=seed).validate()
+
+    def test_large_seed_accepted(self):
+        RunConfig(seed=2**64 - 1).validate()
+
     def test_run_sessions_validates_first(self):
         with pytest.raises(ConfigurationError):
             run_sessions(RunConfig(rounds=0))
@@ -80,6 +99,76 @@ class TestDeterminism:
         long = dump(run_sessions(RunConfig(rounds=100, seed=9))[1])
         short = dump(run_sessions(RunConfig(rounds=60, seed=9))[1])
         assert long.startswith(short)
+
+
+def advanced_rows(seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the run's uniform stream, straight from numpy."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(start * ROW_WIDTH)
+    return np.random.Generator(bit_generator).random((stop - start, ROW_WIDTH))
+
+
+class TestUniformStream:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(PROTOCOLS),
+        st.sampled_from(STRATEGIES),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 1500),
+        st.integers(1, 700),
+    )
+    def test_chunk_from_advanced_stream_matches_full_run(
+        self, protocol, strategy, seed, start, length
+    ):
+        # covers chunks that start and end inside and across draw blocks
+        config = RunConfig(
+            protocol=protocol, strategy=strategy, rounds=start + length, p_cm=0.5, seed=seed
+        )
+        full = list(iter_rounds(config))
+        rows = advanced_rows(seed, start, start + length)
+        assert list(uniform_rows(seed, start, start + length)) == rows.tolist()
+        chunk = list(rounds_from_rows(config, rows, start))
+        assert chunk == full[start:]
+        assert dump(chunk) == dump(full[start:])
+
+    def test_chunks_merge_in_any_order(self):
+        config = RunConfig(protocol=MODIFIED, strategy=BELL_SUBSTITUTION, rounds=900, seed=3)
+        bounds = [(600, 900), (0, 250), (250, 600)]
+        chunks = {a: list(rounds_from_rows(config, advanced_rows(3, a, b), a)) for a, b in bounds}
+        merged = chunks[0] + chunks[250] + chunks[600]
+        assert summarize(merged) == summarize(iter_rounds(config))
+
+    def test_cursor_hands_out_the_row_in_order_then_raises(self):
+        row = [i / ROW_WIDTH for i in range(ROW_WIDTH)]
+        cursor = UniformRow(row)
+        assert [cursor.random() for _ in range(ROW_WIDTH)] == row
+        with pytest.raises(RowOverdrawError):
+            cursor.random()
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("p_cm", [0.0, 0.5, 1.0])
+    def test_every_round_fits_in_a_row(self, protocol, strategy, p_cm):
+        # iter_rounds hands each round a ROW_WIDTH cursor, which raises on overdraw
+        config = RunConfig(protocol=protocol, strategy=strategy, rounds=300, p_cm=p_cm, seed=1)
+        assert summarize(iter_rounds(config)).rounds_total == 300
+
+    def test_row_width_is_tight_enough_to_catch_an_overdraw(self):
+        # a modified bell-substitution round reads 7 uniforms: 2 modes, 2
+        # codes, Eve's code and her measurement, Bob's measurement
+        config = RunConfig(protocol=MODIFIED, strategy=BELL_SUBSTITUTION, rounds=1)
+        assert len(list(rounds_from_rows(config, [[0.5] * 7]))) == 1
+        with pytest.raises(RowOverdrawError):
+            list(rounds_from_rows(config, [[0.5] * 6]))
+
+    def test_codes_modes_and_outcomes_follow_the_row(self):
+        # original protocol: mode, Bob's code, Alice's code, Bob's measurement
+        config = RunConfig(protocol=ORIGINAL, rounds=1, p_cm=0.5)
+        (t,) = rounds_from_rows(config, [[0.49, 0.3, 0.99, 0.0]])
+        assert t.alice_mode is Mode.CM  # 0.49 < p_cm
+        assert t.bob_code == PauliCode(0, 1)  # floor(4 * 0.3) = 1
+        assert t.alice_code == PauliCode(1, 1)  # floor(4 * 0.99) = 3
+        assert t.outcome == BellIndex(1, 0)  # the honest XOR, with certainty
 
 
 class TestCountersAndRates:
