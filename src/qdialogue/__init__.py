@@ -33,6 +33,7 @@ from .harness import (
     OracleResult,
     RunConfig,
     RunSummary,
+    TranscriptFormatError,
     codes_to_text,
     delivered_codes,
     exact_oracle,

@@ -62,7 +62,6 @@ class EveState:
     eve_pair: TwoQubitState | None = None
     eve_code: PauliCode | None = None
     inferred_alice: PauliCode | None = None
-    inferred_bob: PauliCode | None = None
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ class AdversaryChannel:
             if ann.kind == "outcome-reveal":
                 inferred_bob = decode_bits(ann.payload, inferred_alice)
                 break
-        self.eve.inferred_bob = inferred_bob
         return EveReport(
             inferred_alice=inferred_alice,
             inferred_bob_private=None,

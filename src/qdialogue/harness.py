@@ -21,11 +21,9 @@ The oracle side never touches the statevector simulator: it enumerates the
 finitely many discrete branches of each strategy with exact rational
 weights, so the two routes to every probability are independent.
 
-Transcripts serialize as UTF-8 JSON lines with the fixed top-level keys
-round_id, protocol, modes, codes, outcome, announcements, check, eve.  The
-decode results are not stored because they are implied by protocol, modes,
-codes and outcome; the parser reconstructs them, so a parsed line compares
-equal to the transcript that produced it.
+Transcripts are written one JSON line per round by ``tee_transcripts`` and
+``write_transcripts``; the line format and its codec live in
+``transcript_codec``, whose public names this module re-exports.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from numbers import Real
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,17 +45,22 @@ from .adversary import (
     NONE,
     STRATEGIES,
     AdversaryChannel,
-    EveReport,
 )
-from .bell_core import ALL_CODES, BellIndex, PauliCode, decode_bits, random_code
+from .bell_core import ALL_CODES, BellIndex, PauliCode, random_code
 from .protocol import (
     ORIGINAL,
     PROTOCOLS,
-    Announcement,
     Mode,
     RoundTranscript,
     run_round_modified,
     run_round_original,
+)
+from .transcript_codec import (  # noqa: F401 (re-exported)
+    TranscriptFormatError,
+    parse_transcript_line,
+    record_to_transcript,
+    transcript_to_line,
+    transcript_to_record,
 )
 
 UNIFORM_RANDOM = "uniform-random"
@@ -95,8 +99,9 @@ class RunConfig:
             raise ConfigurationError(f"rounds must be a positive integer, got {self.rounds!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0.0 <= self.p_cm <= 1.0:
-            raise ConfigurationError(f"p_cm must lie in [0, 1], got {self.p_cm!r}")
+        p_cm = self.p_cm
+        if not isinstance(p_cm, Real) or isinstance(p_cm, bool) or not 0.0 <= p_cm <= 1.0:
+            raise ConfigurationError(f"p_cm must be a real number in [0, 1], got {p_cm!r}")
         if self.message_source not in MESSAGE_SOURCES:
             raise ConfigurationError(
                 f"message_source must be one of {MESSAGE_SOURCES}, got {self.message_source!r}"
@@ -420,122 +425,6 @@ def exact_oracle(protocol: str, strategy: str) -> OracleResult:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def _code_pair(code: PauliCode | BellIndex | None) -> list[int] | None:
-    return None if code is None else [int(b) for b in code]
-
-
-def _announcement_record(ann: Announcement) -> dict:
-    if isinstance(ann.payload, Mode):
-        payload = ann.payload.value
-    elif isinstance(ann.payload, (PauliCode, BellIndex)):
-        payload = _code_pair(ann.payload)
-    else:
-        payload = None
-    return {"speaker": ann.speaker, "kind": ann.kind, "payload": payload}
-
-
-def _announcement_from_record(rec: dict) -> Announcement:
-    kind = rec["kind"]
-    raw = rec["payload"]
-    if kind == "mode-reveal":
-        payload = Mode(raw)
-    elif kind == "outcome-reveal":
-        payload = BellIndex(*raw)
-    elif kind == "op-reveal":
-        payload = PauliCode(*raw)
-    else:
-        payload = None
-    return Announcement(rec["speaker"], kind, payload)
-
-
-def transcript_to_record(t: RoundTranscript) -> dict:
-    """Flatten one transcript to a JSON-ready dict with the fixed schema."""
-    eve = None
-    if t.eve_report is not None:
-        eve = {
-            "inferred_alice": _code_pair(t.eve_report.inferred_alice),
-            "inferred_bob_private": _code_pair(t.eve_report.inferred_bob_private),
-            "inferred_bob_public": _code_pair(t.eve_report.inferred_bob_public),
-        }
-    return {
-        "round_id": t.round_id,
-        "protocol": t.protocol,
-        "modes": {"bob": t.bob_mode.value, "alice": t.alice_mode.value},
-        "codes": {"bob": _code_pair(t.bob_code), "alice": _code_pair(t.alice_code)},
-        "outcome": _code_pair(t.outcome),
-        "announcements": [_announcement_record(a) for a in t.announcements],
-        "check": {"check_performed": t.check_performed, "check_passed": t.check_passed},
-        "eve": eve,
-    }
-
-
-def _decoded_pair(
-    protocol: str,
-    bob_mode: Mode,
-    alice_mode: Mode,
-    bob_code: PauliCode,
-    alice_code: PauliCode,
-    outcome: BellIndex,
-) -> tuple[PauliCode | None, PauliCode | None]:
-    """Reconstruct (bob_decoded, alice_decoded) implied by the round shape."""
-    if protocol == ORIGINAL:
-        if alice_mode is Mode.MM:
-            return decode_bits(outcome, bob_code), decode_bits(outcome, alice_code)
-        return None, None
-    if bob_mode is Mode.MM and alice_mode is Mode.MM:
-        return decode_bits(outcome, bob_code), decode_bits(outcome, alice_code)
-    if bob_mode is Mode.MM and alice_mode is Mode.CM:
-        return None, decode_bits(outcome, alice_code)
-    if bob_mode is Mode.CM and alice_mode is Mode.MM:
-        return decode_bits(outcome, bob_code), None
-    return None, None
-
-
-def record_to_transcript(rec: dict) -> RoundTranscript:
-    """Rebuild a transcript from its serialized record."""
-    bob_mode = Mode(rec["modes"]["bob"])
-    alice_mode = Mode(rec["modes"]["alice"])
-    bob_code = PauliCode(*rec["codes"]["bob"])
-    alice_code = PauliCode(*rec["codes"]["alice"])
-    outcome = BellIndex(*rec["outcome"])
-    eve = None
-    if rec["eve"] is not None:
-        def opt(pair):
-            return None if pair is None else PauliCode(*pair)
-
-        eve = EveReport(
-            inferred_alice=opt(rec["eve"]["inferred_alice"]),
-            inferred_bob_private=opt(rec["eve"]["inferred_bob_private"]),
-            inferred_bob_public=opt(rec["eve"]["inferred_bob_public"]),
-        )
-    bob_decoded, alice_decoded = _decoded_pair(
-        rec["protocol"], bob_mode, alice_mode, bob_code, alice_code, outcome
-    )
-    return RoundTranscript(
-        round_id=rec["round_id"],
-        protocol=rec["protocol"],
-        bob_mode=bob_mode,
-        alice_mode=alice_mode,
-        bob_code=bob_code,
-        alice_code=alice_code,
-        outcome=outcome,
-        announcements=tuple(_announcement_from_record(a) for a in rec["announcements"]),
-        check_performed=rec["check"]["check_performed"],
-        check_passed=rec["check"]["check_passed"],
-        bob_decoded=bob_decoded,
-        alice_decoded=alice_decoded,
-        eve_report=eve,
-    )
-
-
-def transcript_to_line(t: RoundTranscript) -> str:
-    return json.dumps(transcript_to_record(t), separators=(",", ":"))
-
-
-def parse_transcript_line(line: str) -> RoundTranscript:
-    return record_to_transcript(json.loads(line))
-
 
 def tee_transcripts(
     transcripts: Iterable[RoundTranscript], sink: IO[str]

@@ -1,0 +1,325 @@
+"""The JSONL transcript format: one round per line, and the codec for it.
+
+A transcript serializes as a UTF-8 JSON object with the fixed top-level keys
+round_id, protocol, modes, codes, outcome, announcements, check, eve, in
+that order, written compactly (``separators=(",", ":")``).  The decode
+results are not stored because protocol, modes, codes and outcome imply
+them; the parser reconstructs them, so a parsed line compares equal to the
+transcript that produced it.  ``transcript_to_record`` and
+``record_to_transcript`` are the reference definition of the format;
+``record_to_transcript`` rejects a malformed or inconsistent record with
+``TranscriptFormatError``, naming the field.
+
+The lines of a run differ almost only in round_id: a run has a few dozen to
+a few hundred distinct "tails", the canonical line after '{"round_id":N'.
+``transcript_to_line`` and ``parse_transcript_line`` keep the tails in
+memos, capped and cleared like the bell_core memos, keyed on every field but
+round_id; a miss runs the reference path.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import reprlib
+
+from .adversary import EveReport
+from .bell_core import ALL_CODES, ALL_INDICES, BellIndex, PauliCode, _remember, decode_bits
+from .protocol import (
+    ANNOUNCEMENT_KINDS,
+    MODE_REVEAL,
+    OP_REVEAL,
+    ORIGINAL,
+    OUTCOME_REVEAL,
+    PROTOCOLS,
+    RECEIPT_ACK,
+    SPEAKERS,
+    Announcement,
+    Mode,
+    RoundTranscript,
+    _announce,
+    cm_check,
+)
+
+
+class TranscriptFormatError(ValueError):
+    """A transcript line is not a valid serialized round; the message names the field."""
+
+
+def _code_pair(code: PauliCode | BellIndex | None) -> list[int] | None:
+    return None if code is None else [int(b) for b in code]
+
+
+def _announcement_record(ann: Announcement) -> dict:
+    if isinstance(ann.payload, Mode):
+        payload = ann.payload.value
+    elif isinstance(ann.payload, (PauliCode, BellIndex)):
+        payload = _code_pair(ann.payload)
+    else:
+        payload = None
+    return {"speaker": ann.speaker, "kind": ann.kind, "payload": payload}
+
+
+def transcript_to_record(t: RoundTranscript) -> dict:
+    """Flatten one transcript to a JSON-ready dict with the fixed schema."""
+    eve = None
+    if t.eve_report is not None:
+        eve = {
+            "inferred_alice": _code_pair(t.eve_report.inferred_alice),
+            "inferred_bob_private": _code_pair(t.eve_report.inferred_bob_private),
+            "inferred_bob_public": _code_pair(t.eve_report.inferred_bob_public),
+        }
+    return {
+        "round_id": t.round_id,
+        "protocol": t.protocol,
+        "modes": {"bob": t.bob_mode.value, "alice": t.alice_mode.value},
+        "codes": {"bob": _code_pair(t.bob_code), "alice": _code_pair(t.alice_code)},
+        "outcome": _code_pair(t.outcome),
+        "announcements": [_announcement_record(a) for a in t.announcements],
+        "check": {"check_performed": t.check_performed, "check_passed": t.check_passed},
+        "eve": eve,
+    }
+
+
+def _decoded_pair(
+    protocol: str,
+    bob_mode: Mode,
+    alice_mode: Mode,
+    bob_code: PauliCode,
+    alice_code: PauliCode,
+    outcome: BellIndex,
+) -> tuple[PauliCode | None, PauliCode | None]:
+    """Reconstruct (bob_decoded, alice_decoded) implied by the round shape."""
+    if protocol == ORIGINAL:
+        if alice_mode is Mode.MM:
+            return decode_bits(outcome, bob_code), decode_bits(outcome, alice_code)
+        return None, None
+    if bob_mode is Mode.MM and alice_mode is Mode.MM:
+        return decode_bits(outcome, bob_code), decode_bits(outcome, alice_code)
+    if bob_mode is Mode.MM and alice_mode is Mode.CM:
+        return None, decode_bits(outcome, alice_code)
+    if bob_mode is Mode.CM and alice_mode is Mode.MM:
+        return decode_bits(outcome, bob_code), None
+    return None, None
+
+
+# -- record fields: each reader names the field it rejects
+
+_MODES = {m.value: m for m in Mode}
+
+
+def _get(rec, key: str, path: str):
+    if not isinstance(rec, dict):
+        raise TranscriptFormatError(
+            f"{path or 'line'} must be a JSON object, got {reprlib.repr(rec)}"
+        )
+    try:
+        return rec[key]
+    except KeyError:
+        raise TranscriptFormatError(f"{path + '.' if path else ''}{key} is missing") from None
+
+
+def _pair(raw, table: tuple, path: str):
+    """The interned code or index of a JSON pair of bits (ints 0/1, not booleans)."""
+    if isinstance(raw, list) and len(raw) == 2 and all(type(b) is int and b in (0, 1) for b in raw):
+        return table[2 * raw[0] + raw[1]]
+    raise TranscriptFormatError(f"{path} must be a pair of bits, got {reprlib.repr(raw)}")
+
+
+def _mode(raw, path: str) -> Mode:
+    mode = _MODES.get(raw) if isinstance(raw, str) else None
+    if mode is None:
+        raise TranscriptFormatError(
+            f"{path} must be one of {tuple(_MODES)}, got {reprlib.repr(raw)}"
+        )
+    return mode
+
+
+def _announcement_from_record(rec, path: str) -> Announcement:
+    speaker = _get(rec, "speaker", path)
+    kind = _get(rec, "kind", path)
+    raw = _get(rec, "payload", path)
+    if speaker not in SPEAKERS:
+        raise TranscriptFormatError(
+            f"{path}.speaker must be one of {SPEAKERS}, got {reprlib.repr(speaker)}"
+        )
+    if kind == MODE_REVEAL:
+        payload = _mode(raw, f"{path}.payload")
+    elif kind == OUTCOME_REVEAL:
+        payload = _pair(raw, ALL_INDICES, f"{path}.payload")
+    elif kind == OP_REVEAL:
+        payload = _pair(raw, ALL_CODES, f"{path}.payload")
+    elif kind == RECEIPT_ACK:
+        if raw is not None:
+            raise TranscriptFormatError(
+                f"{path}.payload of {kind} must be null, got {reprlib.repr(raw)}"
+            )
+        payload = None
+    else:
+        raise TranscriptFormatError(
+            f"{path}.kind must be one of {ANNOUNCEMENT_KINDS}, got {reprlib.repr(kind)}"
+        )
+    return _announce(speaker, kind, payload)
+
+
+def record_to_transcript(rec: dict) -> RoundTranscript:
+    """Rebuild a transcript from its serialized record.
+
+    Raises ``TranscriptFormatError`` naming the first field that is missing,
+    mistyped, or inconsistent with the rest of the round.
+    """
+    round_id = _get(rec, "round_id", "")
+    if type(round_id) is not int or round_id < 0:
+        raise TranscriptFormatError(
+            f"round_id must be a non-negative integer, got {reprlib.repr(round_id)}"
+        )
+    protocol = _get(rec, "protocol", "")
+    if protocol not in PROTOCOLS:
+        raise TranscriptFormatError(
+            f"protocol must be one of {PROTOCOLS}, got {reprlib.repr(protocol)}"
+        )
+    modes = _get(rec, "modes", "")
+    bob_mode = _mode(_get(modes, "bob", "modes"), "modes.bob")
+    alice_mode = _mode(_get(modes, "alice", "modes"), "modes.alice")
+    codes = _get(rec, "codes", "")
+    bob_code = _pair(_get(codes, "bob", "codes"), ALL_CODES, "codes.bob")
+    alice_code = _pair(_get(codes, "alice", "codes"), ALL_CODES, "codes.alice")
+    outcome = _pair(_get(rec, "outcome", ""), ALL_INDICES, "outcome")
+    raw_announcements = _get(rec, "announcements", "")
+    if not isinstance(raw_announcements, list):
+        raise TranscriptFormatError(
+            f"announcements must be a JSON array, got {reprlib.repr(raw_announcements)}"
+        )
+    announcements = tuple(
+        _announcement_from_record(a, f"announcements[{i}]")
+        for i, a in enumerate(raw_announcements)
+    )
+    check = _get(rec, "check", "")
+    check_performed = _get(check, "check_performed", "check")
+    if type(check_performed) is not bool:
+        raise TranscriptFormatError(
+            f"check.check_performed must be true or false, got {reprlib.repr(check_performed)}"
+        )
+    check_passed = _get(check, "check_passed", "check")
+    bob_decoded, alice_decoded = _decoded_pair(
+        protocol, bob_mode, alice_mode, bob_code, alice_code, outcome
+    )
+    # a round either runs the check or carries a message, never both
+    checks = bob_decoded is None and alice_decoded is None
+    if check_performed is not checks:
+        raise TranscriptFormatError(
+            f"check.check_performed must be {json.dumps(checks)} for a {protocol} round "
+            f"with modes bob={bob_mode.value}, alice={alice_mode.value}, "
+            f"got {json.dumps(check_performed)}"
+        )
+    expected = cm_check(outcome, bob_code, alice_code) if check_performed else None
+    if check_passed is not expected:
+        raise TranscriptFormatError(
+            f"check.check_passed must be {json.dumps(expected)} for this round, "
+            f"got {reprlib.repr(check_passed)}"
+        )
+    raw_eve = _get(rec, "eve", "")
+    eve = None
+    if raw_eve is not None:
+        inferred = []
+        for key in ("inferred_alice", "inferred_bob_private", "inferred_bob_public"):
+            raw = _get(raw_eve, key, "eve")
+            inferred.append(None if raw is None else _pair(raw, ALL_CODES, f"eve.{key}"))
+        eve = EveReport(*inferred)
+    return RoundTranscript(
+        round_id=round_id,
+        protocol=protocol,
+        bob_mode=bob_mode,
+        alice_mode=alice_mode,
+        bob_code=bob_code,
+        alice_code=alice_code,
+        outcome=outcome,
+        announcements=announcements,
+        check_performed=check_performed,
+        check_passed=check_passed,
+        bob_decoded=bob_decoded,
+        alice_decoded=alice_decoded,
+        eve_report=eve,
+    )
+
+
+# -- the line codec, memoized on everything but round_id (see the module docstring)
+
+_LINE_HEAD = '{"round_id":'
+# a canonical head: no sign, no leading zero; ids of 19 digits or more always
+# take the full parse, which also keeps int() far from its digit limit
+_CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})')
+_LINE_MEMO: dict[tuple, str] = {}  # fields after round_id -> tail
+_PARSE_MEMO: dict[str, tuple] = {}  # tail -> fields after round_id
+
+
+def _fields_after_round_id(t: RoundTranscript) -> tuple:
+    """The RoundTranscript fields after round_id, in constructor order."""
+    return (
+        t.protocol,
+        t.bob_mode,
+        t.alice_mode,
+        t.bob_code,
+        t.alice_code,
+        t.outcome,
+        t.announcements,
+        t.check_performed,
+        t.check_passed,
+        t.bob_decoded,
+        t.alice_decoded,
+        t.eve_report,
+    )
+
+
+def _tail(line: str, round_id: int) -> str:
+    return line[len(_LINE_HEAD) + len(str(round_id)) :]
+
+
+def _reference_line(t: RoundTranscript) -> str:
+    return json.dumps(transcript_to_record(t), separators=(",", ":"))
+
+
+def transcript_to_line(t: RoundTranscript) -> str:
+    """The canonical JSON line of a transcript (compact, keys in schema order)."""
+    round_id = t.round_id
+    # bool and int hash alike but serialize differently, so a field of the
+    # wrong type never reaches the memo
+    if (
+        type(round_id) is not int
+        or type(t.check_performed) is not bool
+        or not (t.check_passed is None or type(t.check_passed) is bool)
+    ):
+        return _reference_line(t)
+    key = _fields_after_round_id(t)
+    try:
+        tail = _LINE_MEMO.get(key)
+    except TypeError:  # an unhashable field: only the reference path can say
+        return _reference_line(t)
+    if tail is None:
+        line = _reference_line(t)
+        _remember(_LINE_MEMO, key, _tail(line, round_id))
+        return line
+    return _LINE_HEAD + str(round_id) + tail
+
+
+def parse_transcript_line(line: str) -> RoundTranscript:
+    """Parse one JSON line (an optional trailing newline included).
+
+    Raises ``TranscriptFormatError`` on a malformed line.  Only canonical
+    lines, optionally followed by one newline, enter the memo, so a hit is
+    the canonical line of a transcript that already passed the full parse.
+    """
+    head = _CANONICAL_HEAD.match(line)
+    if head is not None:
+        cached = _PARSE_MEMO.get(line[head.end() :])
+        if cached is not None:
+            return RoundTranscript(int(head[1]), *cached)
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise TranscriptFormatError(f"line is not a JSON value: {exc}") from None
+    t = record_to_transcript(record)
+    canonical = _reference_line(t)
+    if line == canonical or line == canonical + "\n":
+        _remember(_PARSE_MEMO, _tail(line, t.round_id), _fields_after_round_id(t))
+    return t

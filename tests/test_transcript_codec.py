@@ -1,0 +1,380 @@
+"""The JSONL transcript codec: memoized lines, typed parse failures, invariants.
+
+Both directions of the codec memoize a line on everything but its round_id.
+The reference they must match is the plain dict + json path:
+``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to write and
+``record_to_transcript(json.loads(line))`` to read.
+"""
+
+import json
+from dataclasses import replace
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import qdialogue
+from qdialogue import transcript_codec as codec
+from qdialogue.adversary import STRATEGIES, EveReport
+from qdialogue.bell_core import ALL_CODES, MEMO_CAP
+from qdialogue.harness import (
+    ConfigurationError,
+    RunConfig,
+    TranscriptFormatError,
+    iter_rounds,
+    parse_transcript_line,
+    record_to_transcript,
+    transcript_to_line,
+    transcript_to_record,
+)
+from qdialogue.protocol import MODIFIED, ORIGINAL, PROTOCOLS, cm_check
+
+
+def reference_line(t) -> str:
+    return json.dumps(transcript_to_record(t), separators=(",", ":"))
+
+
+def reference_parse(line: str):
+    return record_to_transcript(json.loads(line))
+
+
+def run_lines(protocol, strategy, rounds=200, seed=3, p_cm=0.5):
+    config = RunConfig(protocol=protocol, strategy=strategy, rounds=rounds, p_cm=p_cm, seed=seed)
+    return [transcript_to_line(t) for t in iter_rounds(config)]
+
+
+@pytest.fixture
+def cold_memos():
+    codec._LINE_MEMO.clear()
+    codec._PARSE_MEMO.clear()
+    yield
+    codec._LINE_MEMO.clear()
+    codec._PARSE_MEMO.clear()
+
+
+class TestSerializer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        protocol=st.sampled_from(PROTOCOLS),
+        strategy=st.sampled_from(STRATEGIES),
+        p_cm=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+        suppress=st.booleans(),
+        round_ids=st.lists(st.integers(0, 10**12), min_size=1, max_size=6),
+    )
+    def test_memoized_line_is_the_reference_line(
+        self, protocol, strategy, p_cm, seed, suppress, round_ids
+    ):
+        config = RunConfig(
+            protocol=protocol,
+            strategy=strategy,
+            rounds=6,
+            p_cm=p_cm,
+            seed=seed,
+            suppress_outcome_reveal=suppress,
+        )
+        for t, round_id in zip(iter_rounds(config), round_ids * 6):
+            t = replace(t, round_id=round_id)
+            # cold or warm, and again once the memo surely holds the tail
+            assert transcript_to_line(t) == reference_line(t)
+            assert transcript_to_line(t) == reference_line(t)
+            # wrong types hash like the right ones but serialize differently
+            for odd in (replace(t, round_id=bool(round_id % 2)),
+                        replace(t, check_performed=int(t.check_performed))):
+                assert transcript_to_line(odd) == reference_line(odd)
+            if t.check_performed:
+                odd = replace(t, check_passed=int(t.check_passed))
+                assert transcript_to_line(odd) == reference_line(odd)
+                assert f'"check_passed":{int(t.check_passed)}' in transcript_to_line(odd)
+
+    def test_warm_memo_does_not_serve_a_bool_round_id(self, cold_memos):
+        t = next(iter_rounds(RunConfig(rounds=1)))
+        one = replace(t, round_id=1)
+        assert transcript_to_line(one).startswith('{"round_id":1,')
+        assert transcript_to_line(replace(t, round_id=True)).startswith('{"round_id":true,')
+
+    def test_types_json_cannot_serialize_still_raise(self):
+        t = next(iter_rounds(RunConfig(rounds=1, p_cm=1.0)))
+        transcript_to_line(t)  # warm
+        for odd in (replace(t, round_id=np.int64(3)), replace(t, check_passed=np.bool_(True))):
+            with pytest.raises(TypeError):
+                reference_line(odd)
+            with pytest.raises(TypeError):
+                transcript_to_line(odd)
+
+    def test_unhashable_field_takes_the_reference_path(self):
+        t = next(iter_rounds(RunConfig(rounds=1)))
+        odd = replace(t, announcements=list(t.announcements))
+        assert transcript_to_line(odd) == reference_line(t)
+
+
+class TestParser:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_memoized_parse_equals_full_parse(self, protocol, strategy, cold_memos):
+        for line in run_lines(protocol, strategy):
+            for text in (line, line + "\n"):
+                expected = reference_parse(text)
+                assert parse_transcript_line(text) == expected  # cold or warm
+                assert parse_transcript_line(text) == expected  # warm
+        assert 0 < len(codec._PARSE_MEMO) <= MEMO_CAP
+
+    def test_a_hit_only_changes_the_round_id(self, cold_memos):
+        line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
+        first = parse_transcript_line(line)
+        assert len(codec._PARSE_MEMO) == 1
+        for round_id in (1, 10, 999_999_999_999):
+            other = line.replace('"round_id":0,', f'"round_id":{round_id},', 1)
+            assert parse_transcript_line(other) == replace(first, round_id=round_id)
+        assert len(codec._PARSE_MEMO) == 1
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda line: line.replace('{"round_id":7,', '{"round_id":007,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":-7,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":5,"round_id":7,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":7,"round_id":5,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id": 7,', 1),
+            lambda line: line.replace(',"protocol":', ', "protocol":', 1),
+            lambda line: " " + line,
+            lambda line: line + "\r\n",
+            lambda line: line + "\n\n",
+            lambda line: line + " ",
+            lambda line: line[:-1] + ',"extra":1}',
+        ],
+        ids=["leading-zero", "negative", "duplicate-id-first", "duplicate-id-last",
+             "space-after-head", "space-in-tail", "leading-space", "crlf", "two-newlines",
+             "trailing-space", "extra-key"],
+    )
+    def test_non_canonical_lines_are_never_stored(self, variant, cold_memos):
+        line = run_lines(ORIGINAL, "bell-substitution", rounds=8)[7]
+        odd = variant(line)
+        assert odd != line
+        for warm in (False, True):
+            if warm:
+                parse_transcript_line(line)
+            before = dict(codec._PARSE_MEMO)
+            try:
+                expected = reference_parse(odd)
+            except (TranscriptFormatError, ValueError):
+                with pytest.raises(TranscriptFormatError):
+                    parse_transcript_line(odd)
+            else:
+                assert parse_transcript_line(odd) == expected
+                assert parse_transcript_line(odd) == expected
+            assert codec._PARSE_MEMO == before
+
+    def test_canonical_line_round_trips_byte_for_byte(self):
+        for line in run_lines(MODIFIED, "disturbance"):
+            assert transcript_to_line(parse_transcript_line(line + "\n")) == line
+
+
+def test_memos_stay_within_the_cap(cold_memos):
+    # distinct shapes: distinct rounds times every Eve report; far more than the cap
+    bases = {}
+    for t in iter_rounds(RunConfig(protocol=MODIFIED, rounds=400, seed=5)):
+        bases.setdefault(codec._fields_after_round_id(t), t)
+    options = ALL_CODES + (None,)
+    reports = [EveReport(a, b, c) for a in options for b in options for c in options]
+    shapes = [replace(t, eve_report=r) for t in list(bases.values())[:12] for r in reports]
+    assert len(shapes) > MEMO_CAP
+    for round_id, t in enumerate(shapes):
+        t = replace(t, round_id=round_id)
+        line = transcript_to_line(t)
+        assert line == reference_line(t)
+        assert parse_transcript_line(line) == t
+        assert len(codec._LINE_MEMO) <= MEMO_CAP
+        assert len(codec._PARSE_MEMO) <= MEMO_CAP
+
+
+class TestFormatErrors:
+    def test_is_a_value_error_exported_by_the_package(self):
+        assert issubclass(TranscriptFormatError, ValueError)
+        assert qdialogue.TranscriptFormatError is TranscriptFormatError
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("{}", "round_id"),
+            ("null", "JSON object"),
+            ("[]", "JSON object"),
+            ("", "JSON"),
+            ("{", "JSON"),
+            ('{"round_id":1}', "protocol"),
+        ],
+    )
+    def test_message_names_the_field(self, line, field):
+        with pytest.raises(TranscriptFormatError, match=field):
+            parse_transcript_line(line)
+
+    @staticmethod
+    def record(protocol=ORIGINAL, p_cm=1.0):
+        t = next(iter_rounds(RunConfig(protocol=protocol, strategy="none", rounds=1, p_cm=p_cm)))
+        return transcript_to_record(t)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("round_id", -1),
+            ("round_id", True),
+            ("round_id", 1.5),
+            ("round_id", "3"),
+            ("protocol", "bogus"),
+            ("outcome", [1, 2]),
+            ("outcome", [True, 0]),
+            ("outcome", [1]),
+            ("announcements", {}),
+            ("eve", []),
+        ],
+    )
+    def test_bad_top_level_values_are_rejected(self, field, value):
+        rec = self.record()
+        rec[field] = value
+        with pytest.raises(TranscriptFormatError, match=field):
+            parse_transcript_line(json.dumps(rec))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_flipped_check_passed_is_rejected(self, protocol, cold_memos):
+        rec = self.record(protocol=protocol)
+        assert rec["check"] == {"check_performed": True, "check_passed": True}
+        parse_transcript_line(json.dumps(rec, separators=(",", ":")))  # warm the memo
+        rec["check"]["check_passed"] = False
+        with pytest.raises(TranscriptFormatError, match="check_passed"):
+            parse_transcript_line(json.dumps(rec, separators=(",", ":")))
+        rec["check"]["check_passed"] = 1
+        with pytest.raises(TranscriptFormatError, match="check_passed"):
+            parse_transcript_line(json.dumps(rec))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_check_performed_must_follow_the_modes(self, protocol):
+        check_round = self.record(protocol=protocol, p_cm=1.0)
+        check_round["check"] = {"check_performed": False, "check_passed": None}
+        message_round = self.record(protocol=protocol, p_cm=0.0)
+        message_round["check"] = {"check_performed": True, "check_passed": True}
+        for rec in (check_round, message_round):
+            with pytest.raises(TranscriptFormatError, match="check_performed"):
+                parse_transcript_line(json.dumps(rec))
+
+    def test_message_round_must_not_report_a_result(self):
+        rec = self.record(p_cm=0.0)
+        rec["check"]["check_passed"] = False
+        with pytest.raises(TranscriptFormatError, match="check_passed"):
+            parse_transcript_line(json.dumps(rec))
+
+    @pytest.mark.parametrize(
+        "announcement, field",
+        [
+            ({"speaker": "eve", "kind": "receipt-ack", "payload": None}, "speaker"),
+            ({"speaker": "bob", "kind": "shout", "payload": None}, "kind"),
+            ({"speaker": "bob", "kind": "receipt-ack", "payload": [0, 1]}, "payload"),
+            ({"speaker": "bob", "kind": "mode-reveal", "payload": "XX"}, "payload"),
+            ({"speaker": "bob", "kind": "op-reveal", "payload": "ab"}, "payload"),
+            ({"speaker": ["bob"], "kind": "op-reveal", "payload": [0, 1]}, "speaker"),
+            ({"speaker": "bob", "kind": ["op-reveal"], "payload": [0, 1]}, "kind"),
+            ({"speaker": "bob", "kind": "mode-reveal", "payload": ["MM"]}, "payload"),
+            ({"speaker": "bob", "kind": "mode-reveal"}, "payload"),
+            ("bob", "JSON object"),
+        ],
+    )
+    def test_bad_announcements_are_rejected(self, announcement, field):
+        rec = self.record()
+        rec["announcements"].append(announcement)
+        with pytest.raises(TranscriptFormatError, match=rf"announcements\[3\].*{field}"):
+            parse_transcript_line(json.dumps(rec))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _paths(inner, prefix + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from _paths(inner, prefix + (i,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: _replaced(value[head], rest, new)}
+    return [_replaced(v, rest, new) if i == head else v for i, v in enumerate(value)]
+
+
+def _assert_parses_soundly_or_rejects(line: str) -> None:
+    try:
+        t = parse_transcript_line(line)
+    except TranscriptFormatError:
+        return
+    # what parses is a round that passes the invariants the parser checks
+    assert t.protocol in PROTOCOLS
+    assert t.round_id >= 0 and type(t.round_id) is int
+    if t.check_performed:
+        assert t.check_passed is cm_check(t.outcome, t.bob_code, t.alice_code)
+    else:
+        assert t.check_passed is None
+    assert parse_transcript_line(transcript_to_line(t)) == t
+
+
+_VALID_LINES = [
+    line
+    for protocol in PROTOCOLS
+    for strategy in STRATEGIES
+    for line in run_lines(protocol, strategy, rounds=12, seed=9)
+]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_arbitrary_text(self, text):
+        _assert_parses_soundly_or_rejects(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_arbitrary_json(self, value):
+        _assert_parses_soundly_or_rejects(json.dumps(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_VALID_LINES), st.data())
+    def test_one_field_of_a_valid_line_replaced(self, line, data):
+        record = json.loads(line)
+        path = data.draw(st.sampled_from(list(_paths(record))))
+        new = data.draw(json_values)
+        line = json.dumps(_replaced(record, path, new), separators=(",", ":"))
+        _assert_parses_soundly_or_rejects(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_VALID_LINES), st.data())
+    def test_a_valid_line_cut_or_spliced(self, line, data):
+        i = data.draw(st.integers(0, len(line)))
+        j = data.draw(st.integers(i, len(line)))
+        insert = data.draw(st.text(alphabet='{}[]",:0123456789 truefalsn-\n', max_size=6))
+        _assert_parses_soundly_or_rejects(line[:i] + insert + line[j:])
+
+
+class TestPCmValidation:
+    @pytest.mark.parametrize("p_cm", ["0.5", True, False, None, 0.5j, [0.5], np.bool_(True)])
+    def test_non_real_or_bool_p_cm_rejected(self, p_cm):
+        with pytest.raises(ConfigurationError, match="p_cm"):
+            RunConfig(p_cm=p_cm).validate()
+
+    @pytest.mark.parametrize("p_cm", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_out_of_range_p_cm_rejected(self, p_cm):
+        with pytest.raises(ConfigurationError, match="p_cm"):
+            RunConfig(p_cm=p_cm).validate()
+
+    @pytest.mark.parametrize("p_cm", [0, 1, 0.25, np.float64(0.5)])
+    def test_real_p_cm_accepted(self, p_cm):
+        RunConfig(p_cm=p_cm).validate()
