@@ -11,9 +11,7 @@ Eve captures.
 import argparse
 
 from qdialogue.harness import RunConfig, run_sessions
-from qdialogue.protocol import Mode
-
-OUTCOME_REVEAL = "outcome-reveal"
+from qdialogue.protocol import OUTCOME_REVEAL
 
 
 def main() -> int:
@@ -44,10 +42,8 @@ def main() -> int:
             public = sum(
                 any(a.kind == OUTCOME_REVEAL for a in t.announcements) for t in transcripts
             )
-            if protocol == "original":
-                bob_msg = [t for t in transcripts if t.alice_mode is Mode.MM]
-            else:
-                bob_msg = [t for t in transcripts if t.bob_mode is Mode.MM]
+            # Bob's message rounds are the rounds in which Alice decodes
+            bob_msg = [t for t in transcripts if t.alice_decoded is not None]
             eve_got = [
                 t
                 for t in bob_msg

@@ -59,7 +59,6 @@ class EveState:
     """Eve's working memory, confined to a single round."""
 
     stored_bob_pair: TwoQubitState | None = None
-    eve_pair: TwoQubitState | None = None
     eve_code: PauliCode | None = None
     inferred_alice: PauliCode | None = None
 
@@ -115,8 +114,7 @@ class AdversaryChannel:
             self.eve.stored_bob_pair = world
             code = self.eve.eve_code = random_code(rng)
             # Eve prepares the Bell pair labelled by the code she drew
-            self.eve.eve_pair = bell_state(ALL_INDICES[2 * code.k + code.l])
-            return self.eve.eve_pair
+            return bell_state(ALL_INDICES[2 * code.k + code.l])
         return world
 
     def on_return(
@@ -145,7 +143,6 @@ class AdversaryChannel:
             # Eve's pair is consumed by her measurement and Bob's pair leaves
             # her hands here; only the inference survives the round.
             eve.stored_bob_pair = None
-            eve.eve_pair = None
             return delivered
         return world
 
@@ -159,14 +156,13 @@ class AdversaryChannel:
         """
         if self.strategy != BELL_SUBSTITUTION or self.eve.inferred_alice is None:
             return EveReport()
-        inferred_alice = self.eve.inferred_alice
-        inferred_bob = None
-        for ann in announcements:
-            if ann.kind == "outcome-reveal":
-                inferred_bob = decode_bits(ann.payload, inferred_alice)
-                break
-        return EveReport(
-            inferred_alice=inferred_alice,
-            inferred_bob_private=None,
-            inferred_bob_public=inferred_bob,
-        )
+        return replay_report(self.eve.inferred_alice, announcements)
+
+
+def replay_report(inferred_alice: PauliCode, announcements: Iterable["Announcement"]) -> EveReport:
+    """The replay attacker's report once she holds Alice's code: Bob's code
+    too, by XOR with the first publicly revealed outcome, if there is one."""
+    for ann in announcements:
+        if ann.kind == "outcome-reveal":
+            return EveReport(inferred_alice, None, decode_bits(ann.payload, inferred_alice))
+    return EveReport(inferred_alice, None, None)

@@ -49,6 +49,7 @@ from .adversary import (
 from .bell_core import ALL_CODES, BellIndex, PauliCode, random_code
 from .protocol import (
     ORIGINAL,
+    POLICY,
     PROTOCOLS,
     Mode,
     RoundTranscript,
@@ -189,15 +190,17 @@ def rounds_from_rows(
             return queue.popleft()
         return random_code(rng)
 
+    original = config.protocol == ORIGINAL
     for i, row in enumerate(rows, first_round):
         rng = UniformRow(row)
         channel = AdversaryChannel(config.strategy)
-        if config.protocol == ORIGINAL:
-            alice_mode = _draw_mode(rng, config.p_cm)
-            # round payload convention: a CM round sacrifices both codes
-            carries = alice_mode is Mode.MM
-            bob_bits = next_bits(bob_queue, carries, rng)
-            alice_bits = next_bits(alice_queue, carries, rng)
+        bob_mode = Mode.MM if original else _draw_mode(rng, config.p_cm)
+        alice_mode = _draw_mode(rng, config.p_cm)
+        # a code carries a message iff the other party decodes it
+        policy = POLICY[config.protocol, bob_mode, alice_mode]
+        bob_bits = next_bits(bob_queue, policy.alice_decodes, rng)
+        alice_bits = next_bits(alice_queue, policy.bob_decodes, rng)
+        if original:
             yield run_round_original(
                 bob_bits,
                 alice_mode,
@@ -208,10 +211,6 @@ def rounds_from_rows(
                 suppress_outcome_reveal=config.suppress_outcome_reveal,
             )
         else:
-            bob_mode = _draw_mode(rng, config.p_cm)
-            alice_mode = _draw_mode(rng, config.p_cm)
-            bob_bits = next_bits(bob_queue, bob_mode is Mode.MM, rng)
-            alice_bits = next_bits(alice_queue, alice_mode is Mode.MM, rng)
             yield run_round_modified(
                 bob_mode, bob_bits, alice_mode, alice_bits, channel, rng, round_id=i
             )
@@ -219,11 +218,7 @@ def rounds_from_rows(
 
 def classify_round(transcript: RoundTranscript) -> str:
     """Bucket a round as 'cm', 'mm' or 'mixed' for the summary counters."""
-    if transcript.protocol == ORIGINAL:
-        return "cm" if transcript.alice_mode is Mode.CM else "mm"
-    if transcript.bob_mode is transcript.alice_mode:
-        return "cm" if transcript.bob_mode is Mode.CM else "mm"
-    return "mixed"
+    return POLICY[transcript.protocol, transcript.bob_mode, transcript.alice_mode].bucket
 
 
 def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:

@@ -1,29 +1,23 @@
 """Round state machines for the two-way dialogue protocol.
 
-Both protocol variants run the same quantum flow each round: Bob prepares
-the anchor Bell pair, encodes his code on the travel qubit and sends it;
-Alice encodes her code on the travel qubit she received and returns it; Bob
-Bell-measures the pair he holds.  The variants differ only in who chooses a
-mode and in what gets said on the public classical channel afterwards, so
-the state trajectory of a round never depends on the modes.
+Every round runs the same quantum flow: Bob prepares the anchor Bell pair,
+encodes his code on the travel qubit and sends it; Alice acknowledges
+receipt, encodes her code and returns it; Bob Bell-measures the pair he
+holds.  The state trajectory of a round never depends on the modes.
 
-Original variant: only Alice has a mode.  She reveals it after Bob's
-measurement.  In message mode Bob announces the measurement outcome and
-both sides decode; in checking mode Alice announces her (random) code and
-Bob verifies the outcome against it privately.
-
-Modified variant: both parties choose a mode independently and reveal it
-only after Bob confirms his measurement is done.  The consistency check
-runs iff both chose checking mode, in which case both codes and the outcome
-are made public.  When the modes differ the round degrades to one-way
-transfer: with Alice=CM/Bob=MM the outcome is announced so Alice can decode
-Bob's message; with Alice=MM/Bob=CM Bob decodes privately and nothing
-beyond the modes is announced.
+The variants differ only in who chooses a mode (original: Alice alone, Bob
+is always in MM; modified: both, independently) and in what is said on the
+public channel after the measurement.  ``POLICY`` holds that difference in
+one row per round shape (protocol, Bob's mode, Alice's mode): the ordered
+reveals, whether the check runs, who decodes, and the summary bucket.  The
+round functions, the summary and the transcript parser all read it; the
+exact oracle in ``harness`` does not, so the two routes to every rate stay
+independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .adversary import AdversaryChannel, EveReport
@@ -115,6 +109,60 @@ def _announce(speaker: str, kind: str, payload=None) -> Announcement:
     return _ANNOUNCEMENTS.get((speaker, kind, payload)) or Announcement(speaker, kind, payload)
 
 
+# what a reveal publishes: an index into a round's values
+# (bob_mode, alice_mode, bob_code, alice_code, outcome)
+BOB_MODE, ALICE_MODE, BOB_CODE, ALICE_CODE, OUTCOME = range(5)
+
+
+@dataclass(frozen=True)
+class RoundPolicy:
+    """What one round shape does once Bob has measured."""
+
+    reveals: tuple[tuple[str, str, int], ...]  # (speaker, kind, source), in order
+    checks: bool
+    bob_decodes: bool
+    alice_decodes: bool
+    bucket: str  # the summary counter: "cm", "mm" or "mixed"
+
+
+_A_MODE = (ALICE, MODE_REVEAL, ALICE_MODE)
+_MODES = ((BOB, MODE_REVEAL, BOB_MODE), _A_MODE)  # the modified order: Bob's first
+_A_CODE = (ALICE, OP_REVEAL, ALICE_CODE)
+_B_CODE = (BOB, OP_REVEAL, BOB_CODE)
+_B_OUTCOME = (BOB, OUTCOME_REVEAL, OUTCOME)
+
+# (protocol, bob_mode, alice_mode) -> RoundPolicy(reveals, checks, bob_decodes,
+# alice_decodes, bucket).  An original round has Bob in MM, so there is no
+# (ORIGINAL, CM, *) shape.
+POLICY = {
+    (ORIGINAL, Mode.MM, Mode.MM): RoundPolicy((_A_MODE, _B_OUTCOME), False, True, True, "mm"),
+    (ORIGINAL, Mode.MM, Mode.CM): RoundPolicy((_A_MODE, _A_CODE), True, False, False, "cm"),
+    (MODIFIED, Mode.MM, Mode.MM): RoundPolicy((*_MODES, _B_OUTCOME), False, True, True, "mm"),
+    # one-way transfer Bob -> Alice: the outcome goes public so Alice can decode
+    (MODIFIED, Mode.MM, Mode.CM): RoundPolicy((*_MODES, _B_OUTCOME), False, False, True, "mixed"),
+    # one-way transfer Alice -> Bob: Bob decodes privately, nothing more is said
+    (MODIFIED, Mode.CM, Mode.MM): RoundPolicy(_MODES, False, True, False, "mixed"),
+    (MODIFIED, Mode.CM, Mode.CM): RoundPolicy(
+        (*_MODES, _A_CODE, _B_CODE, _B_OUTCOME), True, False, False, "cm"
+    ),
+}
+
+# the original rows without their outcome reveal, for ``suppress_outcome_reveal``
+SUPPRESSED_POLICY = {
+    key: replace(row, reveals=tuple(r for r in row.reveals if r[1] != OUTCOME_REVEAL))
+    for key, row in POLICY.items()
+    if key[0] == ORIGINAL
+}
+
+_RECEIPT = _announce(ALICE, RECEIPT_ACK)
+
+
+def announcements_for(policy: RoundPolicy, values: tuple) -> tuple[Announcement, ...]:
+    """A round's public announcements: Alice's receipt-ack, sent before Bob
+    measures, then ``policy``'s reveals of ``values`` (indexed as the sources)."""
+    return (_RECEIPT, *[_announce(s, kind, values[source]) for s, kind, source in policy.reveals])
+
+
 @dataclass(frozen=True)
 class RoundTranscript:
     """Complete record of one protocol round.
@@ -151,6 +199,26 @@ def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> 
     return outcome == ALL_INDICES[2 * (bob_code.k ^ alice_code.k) + (bob_code.l ^ alice_code.l)]
 
 
+def transcript_for(
+    policy: RoundPolicy,
+    round_id: int,
+    protocol: str,
+    values: tuple,
+    announcements: tuple[Announcement, ...],
+    eve_report: EveReport | None,
+) -> RoundTranscript:
+    """The transcript of a round of ``policy``'s shape, whose ``values`` are as
+    in ``announcements_for``: the row says whether the check runs and who decodes."""
+    _, _, bob_code, alice_code, outcome = values
+    return RoundTranscript(
+        round_id, protocol, *values, announcements, policy.checks,
+        cm_check(outcome, bob_code, alice_code) if policy.checks else None,
+        decode_bits(outcome, bob_code) if policy.bob_decodes else None,
+        decode_bits(outcome, alice_code) if policy.alice_decodes else None,
+        eve_report,
+    )
+
+
 def _quantum_exchange(
     bob_bits: PauliCode,
     alice_bits: PauliCode,
@@ -170,12 +238,36 @@ def _quantum_exchange(
 
 
 def _eve_report(
-    channel: AdversaryChannel | None, announcements: list[Announcement]
+    channel: AdversaryChannel | None, announcements: tuple[Announcement, ...]
 ) -> EveReport | None:
     if channel is None:
         return None
     report = channel.observe_public(announcements)
     return None if report.is_empty() else report
+
+
+def _run_round(
+    protocol: str,
+    bob_mode: Mode,
+    bob_bits: PauliCode,
+    alice_mode: Mode,
+    alice_bits: PauliCode,
+    channel: AdversaryChannel | None,
+    rng: UniformSource,
+    round_id: int,
+    suppress_outcome_reveal: bool = False,
+) -> RoundTranscript:
+    """Play one round of the shape (protocol, bob_mode, alice_mode) as its POLICY row says."""
+    key = (protocol, bob_mode, alice_mode)
+    policy = POLICY[key]
+    outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
+    values = (bob_mode, alice_mode, bob_bits, alice_bits, outcome)
+    announcements = announcements_for(
+        SUPPRESSED_POLICY[key] if suppress_outcome_reveal else policy, values
+    )
+    return transcript_for(
+        policy, round_id, protocol, values, announcements, _eve_report(channel, announcements)
+    )
 
 
 def run_round_original(
@@ -188,7 +280,7 @@ def run_round_original(
     round_id: int = 0,
     suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
-    """Execute one round of the original protocol.
+    """Execute one round of the original protocol (Bob is always in MM).
 
     ``alice_bits`` is Alice's message in MM or her sacrificial random bits
     in CM; ``bob_bits`` is always Bob's payload for the round.  With
@@ -196,39 +288,9 @@ def run_round_original(
     as an out-of-band private reveal) but is omitted from the public
     announcements, which is what an eavesdropper reads.
     """
-    announcements: list[Announcement] = []
-    announcements.append(_announce(ALICE, RECEIPT_ACK))
-    outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
-    announcements.append(_announce(ALICE, MODE_REVEAL, alice_mode))
-
-    check_performed = False
-    check_passed = None
-    bob_decoded = None
-    alice_decoded = None
-    if alice_mode is Mode.MM:
-        if not suppress_outcome_reveal:
-            announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
-        bob_decoded = decode_bits(outcome, bob_bits)
-        alice_decoded = decode_bits(outcome, alice_bits)
-    else:
-        announcements.append(_announce(ALICE, OP_REVEAL, alice_bits))
-        check_performed = True
-        check_passed = cm_check(outcome, bob_bits, alice_bits)
-
-    return RoundTranscript(
-        round_id=round_id,
-        protocol=ORIGINAL,
-        bob_mode=Mode.MM,
-        alice_mode=alice_mode,
-        bob_code=bob_bits,
-        alice_code=alice_bits,
-        outcome=outcome,
-        announcements=tuple(announcements),
-        check_performed=check_performed,
-        check_passed=check_passed,
-        bob_decoded=bob_decoded,
-        alice_decoded=alice_decoded,
-        eve_report=_eve_report(channel, announcements),
+    return _run_round(
+        ORIGINAL, Mode.MM, bob_bits, alice_mode, alice_bits, channel, rng, round_id,
+        suppress_outcome_reveal,
     )
 
 
@@ -245,48 +307,6 @@ def run_round_modified(
     """Execute one round of the modified dual-mode protocol.
 
     CM bits for either party are expected to be uniform random (the caller
-    supplies them).  Modes are revealed only once Bob's measurement is
-    complete, Bob's first; inside a CM/CM round Alice's op-reveal precedes
-    Bob's reveals.
+    supplies them).
     """
-    announcements: list[Announcement] = []
-    announcements.append(_announce(ALICE, RECEIPT_ACK))
-    outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
-    announcements.append(_announce(BOB, MODE_REVEAL, bob_mode))
-    announcements.append(_announce(ALICE, MODE_REVEAL, alice_mode))
-
-    check_performed = False
-    check_passed = None
-    bob_decoded = None
-    alice_decoded = None
-    if bob_mode is Mode.CM and alice_mode is Mode.CM:
-        announcements.append(_announce(ALICE, OP_REVEAL, alice_bits))
-        announcements.append(_announce(BOB, OP_REVEAL, bob_bits))
-        announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
-        check_performed = True
-        check_passed = cm_check(outcome, bob_bits, alice_bits)
-    elif bob_mode is Mode.MM and alice_mode is Mode.MM:
-        announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
-        bob_decoded = decode_bits(outcome, bob_bits)
-        alice_decoded = decode_bits(outcome, alice_bits)
-    elif alice_mode is Mode.CM:  # Bob in MM: one-way transfer Bob -> Alice
-        announcements.append(_announce(BOB, OUTCOME_REVEAL, outcome))
-        alice_decoded = decode_bits(outcome, alice_bits)
-    else:  # Alice in MM, Bob in CM: one-way transfer Alice -> Bob, no reveal
-        bob_decoded = decode_bits(outcome, bob_bits)
-
-    return RoundTranscript(
-        round_id=round_id,
-        protocol=MODIFIED,
-        bob_mode=bob_mode,
-        alice_mode=alice_mode,
-        bob_code=bob_bits,
-        alice_code=alice_bits,
-        outcome=outcome,
-        announcements=tuple(announcements),
-        check_performed=check_performed,
-        check_passed=check_passed,
-        bob_decoded=bob_decoded,
-        alice_decoded=alice_decoded,
-        eve_report=_eve_report(channel, announcements),
-    )
+    return _run_round(MODIFIED, bob_mode, bob_bits, alice_mode, alice_bits, channel, rng, round_id)

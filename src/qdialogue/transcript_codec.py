@@ -4,11 +4,13 @@ A transcript serializes as a UTF-8 JSON object with the fixed top-level keys
 round_id, protocol, modes, codes, outcome, announcements, check, eve, in
 that order, written compactly (``separators=(",", ":")``).  The decode
 results are not stored because protocol, modes, codes and outcome imply
-them; the parser reconstructs them, so a parsed line compares equal to the
-transcript that produced it.  ``transcript_to_record`` and
-``record_to_transcript`` are the reference definition of the format;
-``record_to_transcript`` rejects a malformed or inconsistent record with
-``TranscriptFormatError``, naming the field.
+them; the parser reconstructs them from ``protocol.POLICY``, so a parsed
+line compares equal to the transcript that produced it.
+``transcript_to_record`` and ``record_to_transcript`` are the reference
+definition of the format;
+``record_to_transcript`` rejects a malformed record, or one whose check,
+announcements or Eve report differ from what the POLICY row of its round
+shape implies, with ``TranscriptFormatError``, naming the field.
 
 The lines of a run differ almost only in round_id: a run has a few dozen to
 a few hundred distinct "tails", the canonical line after '{"round_id":N'.
@@ -23,22 +25,24 @@ import json
 import re
 import reprlib
 
-from .adversary import EveReport
-from .bell_core import ALL_CODES, ALL_INDICES, BellIndex, PauliCode, _remember, decode_bits
+from .adversary import EveReport, replay_report
+from .bell_core import ALL_CODES, ALL_INDICES, BellIndex, PauliCode, _remember
 from .protocol import (
     ANNOUNCEMENT_KINDS,
     MODE_REVEAL,
     OP_REVEAL,
-    ORIGINAL,
     OUTCOME_REVEAL,
+    POLICY,
     PROTOCOLS,
     RECEIPT_ACK,
     SPEAKERS,
+    SUPPRESSED_POLICY,
     Announcement,
     Mode,
     RoundTranscript,
     _announce,
-    cm_check,
+    announcements_for,
+    transcript_for,
 )
 
 
@@ -79,28 +83,6 @@ def transcript_to_record(t: RoundTranscript) -> dict:
         "check": {"check_performed": t.check_performed, "check_passed": t.check_passed},
         "eve": eve,
     }
-
-
-def _decoded_pair(
-    protocol: str,
-    bob_mode: Mode,
-    alice_mode: Mode,
-    bob_code: PauliCode,
-    alice_code: PauliCode,
-    outcome: BellIndex,
-) -> tuple[PauliCode | None, PauliCode | None]:
-    """Reconstruct (bob_decoded, alice_decoded) implied by the round shape."""
-    if protocol == ORIGINAL:
-        if alice_mode is Mode.MM:
-            return decode_bits(outcome, bob_code), decode_bits(outcome, alice_code)
-        return None, None
-    if bob_mode is Mode.MM and alice_mode is Mode.MM:
-        return decode_bits(outcome, bob_code), decode_bits(outcome, alice_code)
-    if bob_mode is Mode.MM and alice_mode is Mode.CM:
-        return None, decode_bits(outcome, alice_code)
-    if bob_mode is Mode.CM and alice_mode is Mode.MM:
-        return decode_bits(outcome, bob_code), None
-    return None, None
 
 
 # -- record fields: each reader names the field it rejects
@@ -162,6 +144,28 @@ def _announcement_from_record(rec, path: str) -> Announcement:
     return _announce(speaker, kind, payload)
 
 
+def _describe(announcements) -> str:
+    return "[" + ", ".join(f"{a.speaker} {a.kind}" for a in announcements) + "]"
+
+
+def _eve_from_record(raw, announcements) -> EveReport | None:
+    """Eve's report, which only the replay attacker files, so it must be the
+    one her inference of Alice's code and the announcements give."""
+    if raw is None:
+        return None
+    alice = _pair(_get(raw, "inferred_alice", "eve"), ALL_CODES, "eve.inferred_alice")
+    report = replay_report(alice, announcements)
+    for key in ("inferred_bob_private", "inferred_bob_public"):
+        raw_code = _get(raw, key, "eve")
+        code = None if raw_code is None else _pair(raw_code, ALL_CODES, f"eve.{key}")
+        if code != getattr(report, key):
+            raise TranscriptFormatError(
+                f"eve.{key} must be {json.dumps(_code_pair(getattr(report, key)))} "
+                f"for this round, got {json.dumps(raw_code)}"
+            )
+    return report
+
+
 def record_to_transcript(rec: dict) -> RoundTranscript:
     """Rebuild a transcript from its serialized record.
 
@@ -201,46 +205,33 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
             f"check.check_performed must be true or false, got {reprlib.repr(check_performed)}"
         )
     check_passed = _get(check, "check_passed", "check")
-    bob_decoded, alice_decoded = _decoded_pair(
-        protocol, bob_mode, alice_mode, bob_code, alice_code, outcome
-    )
-    # a round either runs the check or carries a message, never both
-    checks = bob_decoded is None and alice_decoded is None
-    if check_performed is not checks:
+    shape = f"{protocol} round with modes bob={bob_mode.value}, alice={alice_mode.value}"
+    key = (protocol, bob_mode, alice_mode)
+    policy = POLICY.get(key)
+    if policy is None:
+        raise TranscriptFormatError(f"modes.bob: there is no {shape}")
+    values = (bob_mode, alice_mode, bob_code, alice_code, outcome)
+    # an original round may have kept its outcome reveal off the public channel
+    rows = (policy, SUPPRESSED_POLICY.get(key))
+    sequences = [announcements_for(row, values) for row in rows if row is not None]
+    if announcements not in sequences:
         raise TranscriptFormatError(
-            f"check.check_performed must be {json.dumps(checks)} for a {protocol} round "
-            f"with modes bob={bob_mode.value}, alice={alice_mode.value}, "
+            f"announcements must be {' or '.join(map(_describe, sequences))} for a {shape}, "
+            f"got {_describe(announcements)}"
+        )
+    eve = _eve_from_record(_get(rec, "eve", ""), announcements)
+    t = transcript_for(policy, round_id, protocol, values, announcements, eve)
+    if check_performed is not t.check_performed:
+        raise TranscriptFormatError(
+            f"check.check_performed must be {json.dumps(t.check_performed)} for a {shape}, "
             f"got {json.dumps(check_performed)}"
         )
-    expected = cm_check(outcome, bob_code, alice_code) if check_performed else None
-    if check_passed is not expected:
+    if check_passed is not t.check_passed:
         raise TranscriptFormatError(
-            f"check.check_passed must be {json.dumps(expected)} for this round, "
+            f"check.check_passed must be {json.dumps(t.check_passed)} for this round, "
             f"got {reprlib.repr(check_passed)}"
         )
-    raw_eve = _get(rec, "eve", "")
-    eve = None
-    if raw_eve is not None:
-        inferred = []
-        for key in ("inferred_alice", "inferred_bob_private", "inferred_bob_public"):
-            raw = _get(raw_eve, key, "eve")
-            inferred.append(None if raw is None else _pair(raw, ALL_CODES, f"eve.{key}"))
-        eve = EveReport(*inferred)
-    return RoundTranscript(
-        round_id=round_id,
-        protocol=protocol,
-        bob_mode=bob_mode,
-        alice_mode=alice_mode,
-        bob_code=bob_code,
-        alice_code=alice_code,
-        outcome=outcome,
-        announcements=announcements,
-        check_performed=check_performed,
-        check_passed=check_passed,
-        bob_decoded=bob_decoded,
-        alice_decoded=alice_decoded,
-        eve_report=eve,
-    )
+    return t
 
 
 # -- the line codec, memoized on everything but round_id (see the module docstring)

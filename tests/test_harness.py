@@ -6,6 +6,7 @@ acceptance suite; here the runs are kept small for fast feedback.
 
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -37,7 +38,7 @@ from qdialogue.harness import (
     write_summary,
     write_transcripts,
 )
-from qdialogue.protocol import MODIFIED, ORIGINAL, PROTOCOLS, Mode
+from qdialogue.protocol import MODIFIED, ORIGINAL, POLICY, PROTOCOLS, Mode
 
 
 def dump(transcripts) -> str:
@@ -169,6 +170,45 @@ class TestUniformStream:
         assert t.bob_code == PauliCode(0, 1)  # floor(4 * 0.3) = 1
         assert t.alice_code == PauliCode(1, 1)  # floor(4 * 0.99) = 3
         assert t.outcome == BellIndex(1, 0)  # the honest XOR, with certainty
+
+
+def shape(t):
+    return (t.protocol, t.bob_mode, t.alice_mode)
+
+
+class TestPolicyTable:
+    def test_keys_are_the_shapes_the_harness_draws(self):
+        # the first two uniforms of a row pick the modes: CM below p_cm, MM above
+        drawn = set()
+        for protocol in PROTOCOLS:
+            config = RunConfig(protocol=protocol, strategy=BELL_SUBSTITUTION, rounds=4, p_cm=0.5)
+            rows = [[u, v] + [0.5] * (ROW_WIDTH - 2) for u in (0.1, 0.9) for v in (0.1, 0.9)]
+            drawn.update(shape(t) for t in rounds_from_rows(config, rows))
+        assert drawn == set(POLICY)
+
+    def test_every_row_either_checks_or_decodes(self):
+        for key, row in POLICY.items():
+            assert row.checks != (row.bob_decodes or row.alice_decodes), key
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_summary_buckets_count_the_shapes(self, protocol):
+        config = RunConfig(protocol=protocol, rounds=2000, p_cm=0.4, seed=8)
+        transcripts = list(iter_rounds(config))
+        shapes = Counter(map(shape, transcripts))
+        summary = summarize(transcripts)
+
+        # a round is CM or MM when every party with a mode chose it, else mixed
+        def count(*modes):  # rounds whose (bob_mode, alice_mode) is one of ``modes``
+            return sum(n for (_, bob, alice), n in shapes.items() if (bob, alice) in modes)
+
+        MM, CM = Mode.MM, Mode.CM
+        if protocol == ORIGINAL:
+            assert (summary.rounds_cm, summary.rounds_mm) == (count((MM, CM)), count((MM, MM)))
+            assert summary.rounds_mixed == 0
+        else:
+            assert (summary.rounds_cm, summary.rounds_mm) == (count((CM, CM)), count((MM, MM)))
+            assert summary.rounds_mixed == count((MM, CM), (CM, MM))
+        assert sum(shapes.values()) == summary.rounds_total == 2000
 
 
 class TestCountersAndRates:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import qdialogue
 from qdialogue import transcript_codec as codec
-from qdialogue.adversary import STRATEGIES, EveReport
+from qdialogue.adversary import STRATEGIES, replay_report
 from qdialogue.bell_core import ALL_CODES, MEMO_CAP
 from qdialogue.harness import (
     ConfigurationError,
@@ -172,13 +172,18 @@ class TestParser:
 
 
 def test_memos_stay_within_the_cap(cold_memos):
-    # distinct shapes: distinct rounds times every Eve report; far more than the cap
+    # distinct shapes: distinct rounds times every Eve report the parser
+    # accepts for them (none, or one per inferred Alice code); more than the cap
     bases = {}
-    for t in iter_rounds(RunConfig(protocol=MODIFIED, rounds=400, seed=5)):
+    config = RunConfig(protocol=MODIFIED, strategy="disturbance", rounds=2000, seed=5)
+    for t in iter_rounds(config):
         bases.setdefault(codec._fields_after_round_id(t), t)
-    options = ALL_CODES + (None,)
-    reports = [EveReport(a, b, c) for a in options for b in options for c in options]
-    shapes = [replace(t, eve_report=r) for t in list(bases.values())[:12] for r in reports]
+
+    shapes = [
+        replace(t, eve_report=r)
+        for t in bases.values()
+        for r in [None] + [replay_report(a, t.announcements) for a in ALL_CODES]
+    ]
     assert len(shapes) > MEMO_CAP
     for round_id, t in enumerate(shapes):
         t = replace(t, round_id=round_id)
@@ -283,6 +288,111 @@ class TestFormatErrors:
         rec["announcements"].append(announcement)
         with pytest.raises(TranscriptFormatError, match=rf"announcements\[3\].*{field}"):
             parse_transcript_line(json.dumps(rec))
+
+
+def first_record(protocol, p_cm, strategy="bell-substitution", suppress=False):
+    config = RunConfig(protocol=protocol, strategy=strategy, rounds=1, p_cm=p_cm,
+                       suppress_outcome_reveal=suppress)
+    return transcript_to_record(next(iter_rounds(config)))
+
+
+def dumps(rec) -> str:
+    return json.dumps(rec, separators=(",", ":"))
+
+
+class TestPolicyInvariants:
+    """Doctored lines: each contradicts the POLICY row of its round shape."""
+
+    def test_bob_in_cm_with_nothing_announced_and_a_private_inference(self):
+        rec = first_record(ORIGINAL, p_cm=0.0)
+        rec["modes"]["bob"] = "CM"
+        rec["announcements"] = []
+        rec["eve"]["inferred_bob_private"] = [0, 1]
+        with pytest.raises(TranscriptFormatError, match="modes.bob"):
+            parse_transcript_line(dumps(rec))
+
+    @pytest.mark.parametrize("alice", ["MM", "CM"])
+    def test_original_round_with_bob_in_cm(self, alice):
+        rec = first_record(ORIGINAL, p_cm=0.0, strategy="none")
+        rec["modes"] = {"bob": "CM", "alice": alice}
+        with pytest.raises(TranscriptFormatError, match="modes.bob"):
+            parse_transcript_line(dumps(rec))
+
+    @pytest.mark.parametrize(
+        "protocol, p_cm, edit",
+        [
+            (ORIGINAL, 0.0, lambda anns: []),
+            (ORIGINAL, 0.0, lambda anns: anns[:1]),
+            (ORIGINAL, 1.0, lambda anns: anns[:2]),  # the check needs Alice's op-reveal
+            (ORIGINAL, 0.0, lambda anns: anns + anns[-1:]),
+            (MODIFIED, 0.0, lambda anns: anns[:3]),  # suppression is original-only
+            (MODIFIED, 1.0, lambda anns: anns[:3] + [anns[4], anns[3], anns[5]]),
+            (MODIFIED, 1.0, lambda anns: [anns[0], anns[2], anns[1]] + anns[3:]),
+            (MODIFIED, 0.0, lambda anns: anns[:1] + [{**anns[1], "speaker": "alice"}] + anns[2:]),
+            (MODIFIED, 0.0, lambda anns: anns[:1] + [{**anns[1], "payload": "CM"}] + anns[2:]),
+            (ORIGINAL, 1.0, lambda anns: anns[:2] + [{**anns[2], "payload": [1, 1]}]),
+            (MODIFIED, 0.0, lambda anns: anns[:3] + [{**anns[3], "payload": [1, 1]}]),
+        ],
+        ids=["none", "ack-only", "no-op-reveal", "repeated", "modified-suppressed",
+             "op-reveals-swapped", "mode-reveals-swapped", "wrong-speaker",
+             "wrong-mode", "wrong-code", "wrong-outcome"],
+    )
+    def test_announcements_must_be_the_rows_sequence(self, protocol, p_cm, edit):
+        rec = first_record(protocol, p_cm, strategy="none")
+        rec["codes"] = {"bob": [0, 0], "alice": [0, 0]}
+        rec["outcome"] = [0, 0]
+        rec["announcements"] = [
+            {**a, "payload": [0, 0]} if isinstance(a["payload"], list) else a
+            for a in rec["announcements"]
+        ]
+        parse_transcript_line(dumps(rec))  # the undoctored line parses
+        rec["announcements"] = edit(rec["announcements"])
+        with pytest.raises(TranscriptFormatError, match=r"^announcements must be"):
+            parse_transcript_line(dumps(rec))
+
+    def test_original_message_round_may_suppress_the_outcome_reveal(self):
+        rec = first_record(ORIGINAL, p_cm=0.0, suppress=True)
+        assert [a["kind"] for a in rec["announcements"]] == ["receipt-ack", "mode-reveal"]
+        assert rec["eve"]["inferred_bob_public"] is None
+        t = parse_transcript_line(dumps(rec))
+        assert t.bob_decoded is not None and t.alice_decoded is not None
+        # but then Eve cannot have read Bob's code off a public outcome
+        revealed = first_record(ORIGINAL, p_cm=0.0)
+        rec["eve"]["inferred_bob_public"] = revealed["eve"]["inferred_bob_public"]
+        with pytest.raises(TranscriptFormatError, match="eve.inferred_bob_public"):
+            parse_transcript_line(dumps(rec))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_inferred_bob_private_must_be_null(self, protocol):
+        rec = first_record(protocol, p_cm=0.0)
+        rec["eve"]["inferred_bob_private"] = rec["codes"]["bob"]
+        with pytest.raises(TranscriptFormatError, match="eve.inferred_bob_private"):
+            parse_transcript_line(dumps(rec))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("p_cm", [0.0, 1.0])
+    def test_an_eve_report_names_alices_code(self, protocol, p_cm):
+        rec = first_record(protocol, p_cm)
+        rec["eve"]["inferred_alice"] = None
+        with pytest.raises(TranscriptFormatError, match="eve.inferred_alice"):
+            parse_transcript_line(dumps(rec))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_inferred_bob_public_follows_the_outcome_reveal(self, protocol):
+        rec = first_record(protocol, p_cm=0.0)  # a message round: the outcome is public
+        public = rec["eve"]["inferred_bob_public"]
+        assert public is not None
+        for wrong in (None, [public[0] ^ 1, public[1]]):
+            rec["eve"]["inferred_bob_public"] = wrong
+            with pytest.raises(TranscriptFormatError, match="eve.inferred_bob_public"):
+                parse_transcript_line(dumps(rec))
+
+    def test_inferred_bob_public_without_an_outcome_reveal(self):
+        rec = first_record(ORIGINAL, p_cm=1.0)  # a check round: no outcome reveal
+        assert rec["eve"]["inferred_bob_public"] is None
+        rec["eve"]["inferred_bob_public"] = rec["codes"]["bob"]
+        with pytest.raises(TranscriptFormatError, match="eve.inferred_bob_public"):
+            parse_transcript_line(dumps(rec))
 
 
 json_values = st.recursive(
