@@ -10,7 +10,7 @@ lets her compute them, and delivered message throughput.
 import argparse
 
 from qdialogue.adversary import STRATEGIES
-from qdialogue.harness import RunConfig, exact_oracle, run_sessions
+from qdialogue.harness import RunConfig, exact_oracle, iter_rounds, summarize
 from qdialogue.protocol import PROTOCOLS
 
 
@@ -39,15 +39,14 @@ def main() -> int:
     for protocol in PROTOCOLS:
         for strategy in STRATEGIES:
             oracle = exact_oracle(protocol, strategy)
-            summary, _ = run_sessions(
-                RunConfig(
-                    protocol=protocol,
-                    strategy=strategy,
-                    rounds=args.rounds,
-                    p_cm=args.p_cm,
-                    seed=args.seed,
-                )
+            config = RunConfig(
+                protocol=protocol,
+                strategy=strategy,
+                rounds=args.rounds,
+                p_cm=args.p_cm,
+                seed=args.seed,
             )
+            summary = summarize(iter_rounds(config))
             rows[(protocol, strategy)] = (oracle, summary)
             eve_oracle = oracle.eve_alice_accuracy_exact
             print(

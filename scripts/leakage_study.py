@@ -10,7 +10,7 @@ Eve captures.
 
 import argparse
 
-from qdialogue.harness import RunConfig, run_sessions
+from qdialogue.harness import RunConfig, iter_rounds
 from qdialogue.protocol import OUTCOME_REVEAL
 
 
@@ -30,30 +30,27 @@ def main() -> int:
 
     for protocol in ("original", "modified"):
         for p_cm in (0.0, 0.25, 0.5, 0.75):
-            _, transcripts = run_sessions(
-                RunConfig(
-                    protocol=protocol,
-                    strategy="bell-substitution",
-                    rounds=args.rounds,
-                    p_cm=p_cm,
-                    seed=args.seed,
-                )
+            config = RunConfig(
+                protocol=protocol,
+                strategy="bell-substitution",
+                rounds=args.rounds,
+                p_cm=p_cm,
+                seed=args.seed,
             )
-            public = sum(
-                any(a.kind == OUTCOME_REVEAL for a in t.announcements) for t in transcripts
-            )
-            # Bob's message rounds are the rounds in which Alice decodes
-            bob_msg = [t for t in transcripts if t.alice_decoded is not None]
-            eve_got = [
-                t
-                for t in bob_msg
-                if t.eve_report is not None
-                and t.eve_report.inferred_bob_public == t.bob_code
-            ]
-            share = len(eve_got) / len(bob_msg) if bob_msg else float("nan")
+            public = bob_msg = eve_got = 0
+            for t in iter_rounds(config):
+                public += any(a.kind == OUTCOME_REVEAL for a in t.announcements)
+                # Bob's message rounds are the rounds in which Alice decodes
+                if t.alice_decoded is not None:
+                    bob_msg += 1
+                    eve_got += (
+                        t.eve_report is not None
+                        and t.eve_report.inferred_bob_public == t.bob_code
+                    )
+            share = eve_got / bob_msg if bob_msg else float("nan")
             print(
-                f"{protocol:<9} {p_cm:>5.2f} {public / len(transcripts):>14.4f} "
-                f"{len(bob_msg):>14} {len(eve_got):>12} {share:>11.4f}"
+                f"{protocol:<9} {p_cm:>5.2f} {public / args.rounds:>14.4f} "
+                f"{bob_msg:>14} {eve_got:>12} {share:>11.4f}"
             )
 
     print()

@@ -15,13 +15,16 @@ anchor pair:
 i.e. the encoding always acts on the travel qubit, the one a party is
 physically holding when they encode.
 
-States are immutable, so the pure steps (a Pauli on a state, the Born
-probabilities of a Bell measurement, the marginal and collapses of a
-computational-basis measurement) are memoized, keyed by the amplitude
-bytes.  A simulator visits only a few dozen distinct states; every memo
-holds at most MEMO_CAP entries and starts over when full.  Sampling reads
-one uniform per measurement and inverts the outcome CDF, so any object with
-a ``random()`` method returning floats in [0, 1) can drive it.
+Every step the protocols take is a stabilizer operation, so the simulator
+only ever reaches a finite set of states: closing the four Bell states under
+travel-qubit Paulis and computational-basis collapses gives the 24 states of
+``REACHABLE``.  The Pauli images, Bell-outcome CDFs and computational-basis
+marginals and collapses of those states are tabulated once at import, keyed
+by state identity, and the tables are never written afterwards; a state
+outside them (a hand-built one, or a HOME-qubit step) is computed directly
+by the same helpers and not stored.  Sampling reads one uniform per
+measurement and inverts the outcome CDF, so any object with a ``random()``
+method returning floats in [0, 1) can drive it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Protocol
 import numpy as np
 
 NORM_ATOL = 1e-9
-MEMO_CAP = 1024
 
 _BITS = (0, 1)
 
@@ -161,31 +163,18 @@ _BIT_OF = {
 # listed in ALL_INDICES order
 _BELL_STATES = tuple(TwoQubitState(_BELL_AMPS[idx]) for idx in ALL_INDICES)
 
-# memos of the pure steps, keyed by amplitude bytes (see the module docstring)
-_PAULI_MEMO: dict[tuple, TwoQubitState] = {}
-_BELL_CDF_MEMO: dict[bytes, tuple[float, ...]] = {}
-_COMPUTATIONAL_MEMO: dict[tuple, list] = {}
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
 def bell_state(idx: BellIndex) -> TwoQubitState:
     """Return the Bell state labelled by ``idx``."""
     return _BELL_STATES[2 * idx.x + idx.y]
 
 
+def _pauli_image(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
+    return TwoQubitState(_OPS[(code, target)] @ state.amps)
+
+
 def apply_pauli(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
     """Apply the 2x2 operator U_code to the chosen qubit of ``state``."""
-    key = (state.amps.tobytes(), code.k, code.l, target)
-    out = _PAULI_MEMO.get(key)
-    if out is None:
-        out = _remember(_PAULI_MEMO, key, TwoQubitState(_OPS[(code, target)] @ state.amps))
-    return out
+    return _PAULI.get((state, code, target)) or _pauli_image(state, code, target)
 
 
 def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
@@ -201,15 +190,11 @@ def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
 
 def _bell_cdf(state: TwoQubitState) -> tuple[float, ...]:
     """Cumulative Born probabilities of the Bell outcomes, in ALL_INDICES order."""
-    key = state.amps.tobytes()
-    cdf = _BELL_CDF_MEMO.get(key)
-    if cdf is None:
-        probs = np.abs(_BELL_CONJ @ state.amps) ** 2
-        total = float(probs.sum())
-        if abs(total - 1.0) > NORM_ATOL:
-            raise ValueError(f"Bell probabilities sum to {total}, not 1")
-        cdf = _remember(_BELL_CDF_MEMO, key, tuple(np.cumsum(probs).tolist()))
-    return cdf
+    probs = np.abs(_BELL_CONJ @ state.amps) ** 2
+    total = float(probs.sum())
+    if abs(total - 1.0) > NORM_ATOL:
+        raise ValueError(f"Bell probabilities sum to {total}, not 1")
+    return tuple(np.cumsum(probs).tolist())
 
 
 def bell_measure(
@@ -220,10 +205,19 @@ def bell_measure(
     Samples the outcome with its Born probability and returns the outcome
     label together with the collapsed (post-measurement) state.
     """
-    cdf = _bell_cdf(state)
+    cdf = _CDF.get(state) or _bell_cdf(state)
     # inverse CDF: the first outcome whose cumulative weight exceeds u * total
     i = min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
     return ALL_INDICES[i], _BELL_STATES[i]
+
+
+def _p_one(state: TwoQubitState, target: Qubit) -> float:
+    return float((np.abs(state.amps) ** 2)[_BIT_OF[target] == 1].sum())
+
+
+def _collapse(state: TwoQubitState, target: Qubit, bit: int, p_bit: float) -> TwoQubitState:
+    kept = np.where(_BIT_OF[target] == bit, state.amps, 0.0)
+    return TwoQubitState(kept / np.sqrt(p_bit))
 
 
 def measure_computational(
@@ -233,24 +227,11 @@ def measure_computational(
 
     Returns the sampled bit and the collapsed, renormalized pair state.
     """
-    key = (state.amps.tobytes(), target)
-    entry = _COMPUTATIONAL_MEMO.get(key)
-    if entry is None:
-        weights = np.abs(state.amps) ** 2
-        # [P(bit = 1), collapse on 0, collapse on 1]; a collapse is built on
-        # first use, since a bit of probability 0 has none
-        entry = _remember(
-            _COMPUTATIONAL_MEMO, key, [float(weights[_BIT_OF[target] == 1].sum()), None, None]
-        )
+    entry = _COMPUTATIONAL.get((state, target)) or (_p_one(state, target), None, None)
     p_one = entry[0]
     bit = 1 if rng.random() < p_one else 0
-    post = entry[1 + bit]
-    if post is None:
-        bits = _BIT_OF[target]
-        kept = np.where(bits == bit, state.amps, 0.0)
-        p_bit = p_one if bit else 1.0 - p_one
-        post = entry[1 + bit] = TwoQubitState(kept / np.sqrt(p_bit))
-    return bit, post
+    # a bit of probability 0 has no tabulated collapse; computing it raises
+    return bit, entry[1 + bit] or _collapse(state, target, bit, p_one if bit else 1.0 - p_one)
 
 
 def decode_bits(outcome: BellIndex, own: PauliCode) -> PauliCode:
@@ -270,3 +251,45 @@ def overlap(a: TwoQubitState, b: TwoQubitState) -> complex:
 def random_code(rng: UniformSource) -> PauliCode:
     """Draw a uniformly random two-bit code: ALL_CODES[floor(4u)]."""
     return ALL_CODES[int(4 * rng.random())]
+
+
+# -- the step tables, filled once by closing the Bell states under the steps
+
+_PAULI: dict[tuple, TwoQubitState] = {}  # (state, code, TRAVEL) -> image
+_CDF: dict[TwoQubitState, tuple[float, ...]] = {}  # state -> Bell-outcome CDF
+# (state, TRAVEL) -> (P(1), collapse on 0, collapse on 1); None for a bit of probability 0
+_COMPUTATIONAL: dict[tuple, tuple] = {}
+
+
+def _tabulate() -> tuple[TwoQubitState, ...]:
+    """Fill the step tables for every state reachable from the Bell states.
+
+    States are interned by amplitude bytes while the tables are built, so
+    each reachable state is one object; returns them in discovery order,
+    the Bell states first.
+    """
+    known: dict[bytes, TwoQubitState] = {}
+    order: list[TwoQubitState] = []
+
+    def intern(state: TwoQubitState) -> TwoQubitState:
+        key = state.amps.tobytes()
+        if key not in known:
+            known[key] = state
+            order.append(state)
+        return known[key]
+
+    for root in _BELL_STATES:
+        intern(root)
+    for state in order:  # grows while the steps find new states
+        for code in ALL_CODES:
+            _PAULI[(state, code, Qubit.TRAVEL)] = intern(_pauli_image(state, code, Qubit.TRAVEL))
+        _CDF[state] = _bell_cdf(state)
+        p_one = _p_one(state, Qubit.TRAVEL)
+        _COMPUTATIONAL[(state, Qubit.TRAVEL)] = (p_one,) + tuple(
+            intern(_collapse(state, Qubit.TRAVEL, bit, p_bit)) if p_bit > NORM_ATOL else None
+            for bit, p_bit in enumerate((1.0 - p_one, p_one))
+        )
+    return tuple(order)
+
+
+REACHABLE = _tabulate()

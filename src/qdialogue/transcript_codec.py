@@ -15,8 +15,8 @@ shape implies, with ``TranscriptFormatError``, naming the field.
 The lines of a run differ almost only in round_id: a run has a few dozen to
 a few hundred distinct "tails", the canonical line after '{"round_id":N'.
 ``transcript_to_line`` and ``parse_transcript_line`` keep the tails in
-memos, capped and cleared like the bell_core memos, keyed on every field but
-round_id; a miss runs the reference path.
+memos of at most ``MEMO_CAP`` entries that start over when full, keyed on
+every field but round_id; a miss runs the reference path.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+from dataclasses import fields
+from operator import attrgetter
 
 from .adversary import EveReport, replay_report
-from .bell_core import ALL_CODES, ALL_INDICES, BellIndex, PauliCode, _remember
+from .bell_core import ALL_CODES, ALL_INDICES, BellIndex, PauliCode
 from .protocol import (
     ANNOUNCEMENT_KINDS,
     MODE_REVEAL,
@@ -240,26 +242,17 @@ _LINE_HEAD = '{"round_id":'
 # a canonical head: no sign, no leading zero; ids of 19 digits or more always
 # take the full parse, which also keeps int() far from its digit limit
 _CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})')
+MEMO_CAP = 1024  # entries per memo; a full memo starts over
 _LINE_MEMO: dict[tuple, str] = {}  # fields after round_id -> tail
 _PARSE_MEMO: dict[str, tuple] = {}  # tail -> fields after round_id
+# the RoundTranscript fields after round_id, in constructor order
+_fields_after_round_id = attrgetter(*[f.name for f in fields(RoundTranscript)][1:])
 
 
-def _fields_after_round_id(t: RoundTranscript) -> tuple:
-    """The RoundTranscript fields after round_id, in constructor order."""
-    return (
-        t.protocol,
-        t.bob_mode,
-        t.alice_mode,
-        t.bob_code,
-        t.alice_code,
-        t.outcome,
-        t.announcements,
-        t.check_performed,
-        t.check_passed,
-        t.bob_decoded,
-        t.alice_decoded,
-        t.eve_report,
-    )
+def _remember(memo: dict, key, value):
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 def _tail(line: str, round_id: int) -> str:

@@ -25,7 +25,8 @@ from qdialogue import bell_core
 from qdialogue.bell_core import (
     ALL_CODES,
     ALL_INDICES,
-    MEMO_CAP,
+    NORM_ATOL,
+    REACHABLE,
     BellIndex,
     PauliCode,
     PhasedPauli,
@@ -40,7 +41,9 @@ from qdialogue.bell_core import (
     overlap,
     random_code,
 )
-from qdialogue.harness import RunConfig, run_sessions
+from qdialogue.adversary import STRATEGIES
+from qdialogue.harness import RunConfig, iter_rounds
+from qdialogue.protocol import PROTOCOLS
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -313,14 +316,17 @@ class TestRandomStream:
 
 
 class TestMemoizedSteps:
-    """The memoized steps against the plain numpy computation from the oracle."""
+    """The steps against the plain numpy computation from the oracle.
+
+    Random states are not in REACHABLE, so these drive the off-table path.
+    """
 
     @settings(max_examples=60)
     @given(two_qubit_states(), codes, st.sampled_from([Qubit.HOME, Qubit.TRAVEL]))
     def test_apply_pauli(self, state, code, target):
         lift = on_travel if target is Qubit.TRAVEL else on_home
         expected = lift(U_ORACLE[(code.k, code.l)]) @ state.amps
-        for _ in range(2):  # the second call is answered from the memo
+        for _ in range(2):  # nothing is stored, so a repeat call agrees
             np.testing.assert_allclose(apply_pauli(state, code, target).amps, expected, atol=1e-12)
 
     @settings(max_examples=60)
@@ -355,25 +361,77 @@ class TestMemoizedSteps:
             assert got == bit
             np.testing.assert_allclose(post.amps, expected, atol=1e-9)
 
-    def test_memos_stay_within_their_cap(self):
+
+TRAVEL_BIT = np.array([0, 1, 0, 1])
+
+
+class TestStepTables:
+    """The step tables built at import: closed, exact, and never written again."""
+
+    def test_every_entry_matches_the_matrix_oracle(self):
+        for state in REACHABLE:
+            for code in ALL_CODES:
+                image = bell_core._PAULI[(state, code, Qubit.TRAVEL)]
+                assert image in REACHABLE  # states compare by identity
+                expected = on_travel(U_ORACLE[(code.k, code.l)]) @ state.amps
+                np.testing.assert_allclose(image.amps, expected, atol=1e-12)
+            probs = [abs(np.vdot(oracle_bell(x, y), state.amps)) ** 2 for x, y in BIT_PAIRS]
+            np.testing.assert_allclose(bell_core._CDF[state], np.cumsum(probs), atol=1e-12)
+            p_one, *collapses = bell_core._COMPUTATIONAL[(state, Qubit.TRAVEL)]
+            assert p_one == pytest.approx(np.sum(np.abs(state.amps[TRAVEL_BIT == 1]) ** 2))
+            for bit, post in enumerate(collapses):
+                kept = np.where(TRAVEL_BIT == bit, state.amps, 0)
+                if np.vdot(kept, kept).real <= NORM_ATOL:
+                    assert post is None
+                else:
+                    assert post in REACHABLE
+                    np.testing.assert_allclose(post.amps, kept / np.linalg.norm(kept), atol=1e-12)
+
+    def test_off_table_copies_give_the_tabulated_bytes(self):
+        # the tables and the off-table path share one implementation of each step
+        for state in REACHABLE:
+            copy = TwoQubitState(state.amps)
+            for code in ALL_CODES:
+                assert (
+                    apply_pauli(copy, code, Qubit.TRAVEL).amps.tobytes()
+                    == apply_pauli(state, code, Qubit.TRAVEL).amps.tobytes()
+                )
+            for u in (0.0, 0.3, 0.6, 0.99):
+                assert bell_measure(copy, _FixedRng(u)) == bell_measure(state, _FixedRng(u))
+                bit, post = measure_computational(copy, Qubit.TRAVEL, _FixedRng(u))
+                table_bit, table_post = measure_computational(state, Qubit.TRAVEL, _FixedRng(u))
+                assert bit == table_bit
+                assert post.amps.tobytes() == table_post.amps.tobytes()
+
+    def test_runs_stay_on_the_tables(self, monkeypatch):
+        constructed = []
+        post_init = TwoQubitState.__post_init__
+
+        def counting(self):
+            constructed.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TwoQubitState, "__post_init__", counting)
+        for protocol in PROTOCOLS:
+            for strategy in STRATEGIES:
+                for _ in iter_rounds(RunConfig(protocol, strategy, rounds=500, seed=4)):
+                    pass
+        assert constructed == []
+        assert len(REACHABLE) == 24
+
+    def test_off_table_steps_leave_the_tables_unchanged(self):
+        tables = (bell_core._PAULI, bell_core._CDF, bell_core._COMPUTATIONAL)
+        before = [dict(table) for table in tables]
         rng = np.random.default_rng(8)
-        memos = (bell_core._PAULI_MEMO, bell_core._BELL_CDF_MEMO, bell_core._COMPUTATIONAL_MEMO)
-        for _ in range(3 * MEMO_CAP):
+        for _ in range(200):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = TwoQubitState(vec / np.linalg.norm(vec))
-            apply_pauli(state, ALL_CODES[1], Qubit.TRAVEL)
+            for target in (Qubit.HOME, Qubit.TRAVEL):
+                apply_pauli(state, ALL_CODES[1], target)
+                measure_computational(state, target, rng)
             bell_measure(state, rng)
-            measure_computational(state, Qubit.TRAVEL, rng)
-            assert all(len(memo) <= MEMO_CAP for memo in memos)
-        assert all(len(memo) > 0 for memo in memos)
-
-    def test_simulator_states_repeat(self):
-        # a run visits few distinct states (56 Pauli and 22 Bell-measurement
-        # keys over both protocols and every strategy), which is what makes the memos pay
-        bell_core._PAULI_MEMO.clear()
-        bell_core._BELL_CDF_MEMO.clear()
-        for protocol in ("original", "modified"):
-            for strategy in ("none", "disturbance", "measure-resend", "bell-substitution"):
-                run_sessions(RunConfig(protocol, strategy, rounds=1000, seed=4))
-        assert len(bell_core._PAULI_MEMO) <= 64
-        assert len(bell_core._BELL_CDF_MEMO) <= 32
+        # HOME steps on reachable states are off the table too
+        for state in REACHABLE:
+            apply_pauli(state, ALL_CODES[2], Qubit.HOME)
+            measure_computational(state, Qubit.HOME, rng)
+        assert [dict(table) for table in tables] == before

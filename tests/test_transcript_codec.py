@@ -17,7 +17,7 @@ from hypothesis import given, settings
 import qdialogue
 from qdialogue import transcript_codec as codec
 from qdialogue.adversary import STRATEGIES, replay_report
-from qdialogue.bell_core import ALL_CODES, MEMO_CAP
+from qdialogue.bell_core import ALL_CODES
 from qdialogue.harness import (
     ConfigurationError,
     RunConfig,
@@ -29,6 +29,7 @@ from qdialogue.harness import (
     transcript_to_record,
 )
 from qdialogue.protocol import MODIFIED, ORIGINAL, PROTOCOLS, cm_check
+from qdialogue.transcript_codec import MEMO_CAP
 
 
 def reference_line(t) -> str:
