@@ -121,11 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         p_cm=args.p_cm,
         seed=args.seed,
     )
-    try:
-        config.validate()
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config.validate()  # before the output file is opened
     # one streaming pass: no round outlives its summary update and its line
     if args.output:
         try:
@@ -191,24 +187,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_dialogue(args: argparse.Namespace) -> int:
-    alice_codes = text_to_codes(args.alice_text)
-    bob_codes = text_to_codes(args.bob_text)
-    rounds = max(len(alice_codes), len(bob_codes))
-    if rounds == 0:
-        print("alice -> bob: ''")
-        print("bob -> alice: ''")
-        return EXIT_OK
     config = RunConfig(
         protocol=ORIGINAL,
         strategy=args.attack,
-        rounds=rounds,
         p_cm=0.0,
         seed=args.seed,
-        message_source="text",
         alice_text=args.alice_text,
         bob_text=args.bob_text,
         suppress_outcome_reveal=args.suppress_outcome_reveal,
     )
+    config.validate()  # before the texts are packed
+    alice_codes = text_to_codes(config.alice_text)
+    bob_codes = text_to_codes(config.bob_text)
+    config.rounds = max(len(alice_codes), len(bob_codes))
+    if config.rounds == 0:
+        print("alice -> bob: ''")
+        print("bob -> alice: ''")
+        return EXIT_OK
     _, transcripts = run_sessions(config)
 
     bob_received = codes_to_text(delivered_codes(transcripts, "bob")[: len(alice_codes)])

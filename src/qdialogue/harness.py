@@ -64,11 +64,6 @@ from .transcript_codec import (  # noqa: F401 (re-exported)
     transcript_to_record,
 )
 
-UNIFORM_RANDOM = "uniform-random"
-TEXT = "text"
-MESSAGE_SOURCES = (UNIFORM_RANDOM, TEXT)
-
-
 class ConfigurationError(ValueError):
     """A run configuration field is out of range or unknown."""
 
@@ -86,7 +81,8 @@ class RunConfig:
     rounds: int = 10_000
     p_cm: float = 0.5
     seed: int = 0
-    message_source: str = UNIFORM_RANDOM
+    # payload texts: while a party's text lasts, its message rounds carry it
+    # in place of random codes, so empty texts give a uniform-random run
     alice_text: str = ""
     bob_text: str = ""
     suppress_outcome_reveal: bool = False
@@ -103,9 +99,20 @@ class RunConfig:
         p_cm = self.p_cm
         if not isinstance(p_cm, Real) or isinstance(p_cm, bool) or not 0.0 <= p_cm <= 1.0:
             raise ConfigurationError(f"p_cm must be a real number in [0, 1], got {p_cm!r}")
-        if self.message_source not in MESSAGE_SOURCES:
+        for name in ("alice_text", "bob_text"):
+            text = getattr(self, name)
+            if not isinstance(text, str):
+                raise ConfigurationError(f"{name} must be a str, got {type(text).__name__}")
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigurationError(
+                    f"{name} cannot be encoded as UTF-8: {exc.reason} at index {exc.start}"
+                ) from None
+        if not isinstance(self.suppress_outcome_reveal, bool):
             raise ConfigurationError(
-                f"message_source must be one of {MESSAGE_SOURCES}, got {self.message_source!r}"
+                f"suppress_outcome_reveal must be True or False, "
+                f"got {self.suppress_outcome_reveal!r}"
             )
 
 
@@ -181,12 +188,11 @@ def rounds_from_rows(
     config: RunConfig, rows: Iterable[Sequence[float]], first_round: int = 0
 ) -> Iterator[RoundTranscript]:
     """Play one round per row of uniforms, numbering them from ``first_round``."""
-    text_mode = config.message_source == TEXT
-    alice_queue = deque(text_to_codes(config.alice_text)) if text_mode else deque()
-    bob_queue = deque(text_to_codes(config.bob_text)) if text_mode else deque()
+    alice_queue = deque(text_to_codes(config.alice_text))
+    bob_queue = deque(text_to_codes(config.bob_text))
 
     def next_bits(queue: deque, carries_message: bool, rng: UniformRow) -> PauliCode:
-        if text_mode and carries_message and queue:
+        if carries_message and queue:
             return queue.popleft()
         return random_code(rng)
 

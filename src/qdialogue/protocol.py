@@ -17,12 +17,12 @@ independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .adversary import AdversaryChannel, EveReport
 from .bell_core import (
-    ALL_CODES,
     ALL_INDICES,
     BellIndex,
     PauliCode,
@@ -89,24 +89,11 @@ class Announcement:
             )
 
 
-# every announcement a round can make, built once through the validating
-# constructor; rounds look them up instead of building them afresh
-_ANNOUNCEMENTS = {
-    (a.speaker, a.kind, a.payload): a
-    for speaker in SPEAKERS
-    for kind, payloads in (
-        (RECEIPT_ACK, (None,)),
-        (MODE_REVEAL, tuple(Mode)),
-        (OUTCOME_REVEAL, ALL_INDICES),
-        (OP_REVEAL, ALL_CODES),
-    )
-    for a in (Announcement(speaker, kind, p) for p in payloads)
-}
-
-
-def _announce(speaker: str, kind: str, payload=None) -> Announcement:
-    # a miss can only be an invalid announcement, which the constructor rejects
-    return _ANNOUNCEMENTS.get((speaker, kind, payload)) or Announcement(speaker, kind, payload)
+@functools.cache
+def _announce(speaker: str, kind: str, payload) -> Announcement:
+    # rounds share one validated object per announcement; an invalid one
+    # raises in the constructor and is never cached
+    return Announcement(speaker, kind, payload)
 
 
 # what a reveal publishes: an index into a round's values
@@ -154,7 +141,7 @@ SUPPRESSED_POLICY = {
     if key[0] == ORIGINAL
 }
 
-_RECEIPT = _announce(ALICE, RECEIPT_ACK)
+_RECEIPT = _announce(ALICE, RECEIPT_ACK, None)
 
 
 def announcements_for(policy: RoundPolicy, values: tuple) -> tuple[Announcement, ...]:

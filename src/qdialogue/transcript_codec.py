@@ -14,13 +14,15 @@ shape implies, with ``TranscriptFormatError``, naming the field.
 
 The lines of a run differ almost only in round_id: a run has a few dozen to
 a few hundred distinct "tails", the canonical line after '{"round_id":N'.
-``transcript_to_line`` and ``parse_transcript_line`` keep the tails in
-memos of at most ``MEMO_CAP`` entries that start over when full, keyed on
-every field but round_id; a miss runs the reference path.
+``transcript_to_line`` caches the tail on every field but round_id, and
+``parse_transcript_line`` caches those fields on the tail, each in a
+``functools.lru_cache`` of at most ``MEMO_CAP`` entries; a miss runs the
+reference path, and the parser caches only canonical tails.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import reprlib
@@ -236,74 +238,73 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
     return t
 
 
-# -- the line codec, memoized on everything but round_id (see the module docstring)
+# -- the line codec, cached on everything but round_id (see the module docstring)
 
 _LINE_HEAD = '{"round_id":'
+_ZERO_HEAD = _LINE_HEAD + "0"
 # a canonical head: no sign, no leading zero; ids of 19 digits or more always
 # take the full parse, which also keeps int() far from its digit limit
 _CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})')
-MEMO_CAP = 1024  # entries per memo; a full memo starts over
-_LINE_MEMO: dict[tuple, str] = {}  # fields after round_id -> tail
-_PARSE_MEMO: dict[str, tuple] = {}  # tail -> fields after round_id
+MEMO_CAP = 1024  # entries per cache; the least recently used goes first
 # the RoundTranscript fields after round_id, in constructor order
 _fields_after_round_id = attrgetter(*[f.name for f in fields(RoundTranscript)][1:])
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-
-
-def _tail(line: str, round_id: int) -> str:
-    return line[len(_LINE_HEAD) + len(str(round_id)) :]
 
 
 def _reference_line(t: RoundTranscript) -> str:
     return json.dumps(transcript_to_record(t), separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=MEMO_CAP, typed=True)
+def _line_tail(*fields_after_round_id) -> str:
+    # typed: a bool and an int hash alike but serialize differently
+    return _reference_line(RoundTranscript(0, *fields_after_round_id))[len(_ZERO_HEAD) :]
+
+
 def transcript_to_line(t: RoundTranscript) -> str:
     """The canonical JSON line of a transcript (compact, keys in schema order)."""
     round_id = t.round_id
-    # bool and int hash alike but serialize differently, so a field of the
-    # wrong type never reaches the memo
-    if (
-        type(round_id) is not int
-        or type(t.check_performed) is not bool
-        or not (t.check_passed is None or type(t.check_passed) is bool)
-    ):
+    if type(round_id) is not int:  # str(True) is not "true"
         return _reference_line(t)
-    key = _fields_after_round_id(t)
     try:
-        tail = _LINE_MEMO.get(key)
-    except TypeError:  # an unhashable field: only the reference path can say
+        tail = _line_tail(*_fields_after_round_id(t))
+    except TypeError:  # unhashable or unserializable: only the reference path can say
         return _reference_line(t)
-    if tail is None:
-        line = _reference_line(t)
-        _remember(_LINE_MEMO, key, _tail(line, round_id))
-        return line
     return _LINE_HEAD + str(round_id) + tail
+
+
+def _parse(line: str) -> RoundTranscript:
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise TranscriptFormatError(f"line is not a JSON value: {exc}") from None
+    return record_to_transcript(record)
+
+
+@functools.lru_cache(maxsize=MEMO_CAP)
+def _canonical_fields(tail: str) -> tuple:
+    """The fields after round_id of the line '{"round_id":0' + ``tail`` if it
+    is canonical, optionally with one newline; raises for any other tail, and
+    an exception is never cached."""
+    line = _ZERO_HEAD + tail
+    t = _parse(line)
+    canonical = _reference_line(t)
+    if line != canonical and line != canonical + "\n":
+        raise TranscriptFormatError("line is not canonical")
+    return _fields_after_round_id(t)
 
 
 def parse_transcript_line(line: str) -> RoundTranscript:
     """Parse one JSON line (an optional trailing newline included).
 
-    Raises ``TranscriptFormatError`` on a malformed line.  Only canonical
-    lines, optionally followed by one newline, enter the memo, so a hit is
-    the canonical line of a transcript that already passed the full parse.
+    Raises ``TranscriptFormatError`` on a malformed line.  Once the head has
+    given canonical id digits, whether the line is valid and canonical
+    depends only on its tail, so a cached tail is the canonical line of a
+    transcript that already passed the full parse.
     """
     head = _CANONICAL_HEAD.match(line)
     if head is not None:
-        cached = _PARSE_MEMO.get(line[head.end() :])
-        if cached is not None:
-            return RoundTranscript(int(head[1]), *cached)
-    try:
-        record = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise TranscriptFormatError(f"line is not a JSON value: {exc}") from None
-    t = record_to_transcript(record)
-    canonical = _reference_line(t)
-    if line == canonical or line == canonical + "\n":
-        _remember(_PARSE_MEMO, _tail(line, t.round_id), _fields_after_round_id(t))
-    return t
+        try:
+            return RoundTranscript(int(head[1]), *_canonical_fields(line[head.end() :]))
+        except TranscriptFormatError:
+            pass  # the full parse reads a non-canonical line or names the fault
+    return _parse(line)

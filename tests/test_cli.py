@@ -2,12 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qdialogue import harness
 from qdialogue.cli import main
 from qdialogue.harness import parse_transcript_line
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +114,12 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--seed", "-1")
         assert code == 2
         assert err.startswith("error: seed")
+
+    def test_configuration_error_writes_no_output_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--seed", "-1", "--output", str(tmp_path / "r.jsonl"))
+        assert code == 2
+        assert err.startswith("error: seed")
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_file_gets_the_umask_mode(self, capsys, tmp_path):
         path = tmp_path / "rounds.jsonl"
@@ -254,6 +265,27 @@ class TestDialogueCommand:
         )
         assert code == 2
         assert err.startswith("error: seed")
+
+    @pytest.mark.parametrize("flag", ["--alice-text", "--bob-text"])
+    def test_text_without_a_utf8_encoding_is_usage_error(self, flag, capsys):
+        # a non-UTF-8 argv byte reaches Python as a lone surrogate
+        argv = {"--alice-text": "hi", "--bob-text": "ok", flag: "\udcff"}
+        code, out, err = run_cli(capsys, "dialogue", *[x for kv in argv.items() for x in kv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} cannot be encoded as UTF-8")
+
+    def test_non_utf8_argv_byte_exits_2_without_a_traceback(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qdialogue", "dialogue", "--alice-text", b"\xff",
+             "--bob-text", "x"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: alice_text cannot be encoded as UTF-8")
+        assert b"Traceback" not in result.stderr
 
     def test_missing_text_flags_are_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "dialogue", "--attack", "none", "--alice-text", "hi")

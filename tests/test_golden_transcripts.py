@@ -3,15 +3,20 @@
 A change to the simulator's internals (memo layout, state tables, a new
 engine) must leave every transcript byte and every printed line unchanged.
 The digests below are sha256 of the ``run --output`` file of each
-(protocol, strategy) pair at 2,000 rounds; regenerate them only for a
-deliberate change of the RNG contract or the transcript format, and say so.
+(protocol, strategy) pair at 2,000 rounds, of library runs the CLI cannot
+make (an original run with its outcome reveals suppressed, a text payload
+mixed with checking rounds), and of ``dialogue`` stdout under the strategies
+whose output depends on the seed; regenerate them only for a deliberate
+change of the RNG contract or the transcript format, and say so.
 """
 
 import hashlib
+import io
 
 import pytest
 
 from qdialogue.cli import main
+from qdialogue.harness import RunConfig, iter_rounds, write_transcripts
 
 ROUNDS = 2000
 
@@ -57,6 +62,36 @@ GOLDEN_DIALOGUE = {
 }
 
 
+# original runs with suppress_outcome_reveal=True, at 2,000 rounds, seed 3, p_cm 0.5
+GOLDEN_SUPPRESSED_SHA256 = {
+    "none": "eb276e148ac7385977e0a211734ace095e7906556686cbfd55d8bf871281e52c",
+    "disturbance": "b9edd4d0b5f236c35ea2a55886beb8160427e8367d07cd9250a71956d31062d1",
+    "measure-resend": "ef5093ee4017af461ceb0b312549e0c298f016d50435b091f55beee12430b745",
+    "bell-substitution": "f5a161f0c667592e24b8d7296f13d4b54df56352aae1410e46ee534f0869d3ad",
+}
+
+# text payloads at p_cm 0.5 (checking rounds carry none), 400 rounds, seed 3:
+# the texts run out partway, and later message rounds carry random codes
+TEXT_RUN = dict(strategy="none", rounds=400, seed=3, p_cm=0.5,
+                alice_text="attack at dawn", bob_text="hold the line")
+GOLDEN_TEXT_SHA256 = {
+    "original": "42ceec7f8430b726a5216f3e1bfb41f6be1f91e805351ea1289fc4f61fb18907",
+    "modified": "b2e2e0d8ae890949dfe36ed279d9657e471922b95ae7d1883e0624077446e482",
+}
+
+# dialogue stdout under strategies that garble the texts, so it depends on the seed
+GOLDEN_NOISY_DIALOGUE_SHA256 = {
+    "disturbance": "0a95fffe8766dd7f5af3de71ab4c1d235b9c2b469708f9a31a76593e9e85417a",
+    "measure-resend": "9da6e6fbdac62777465a168f4a08606c97928699fa44b98c39f000303062307f",
+}
+
+
+def transcripts_sha256(config: RunConfig) -> str:
+    sink = io.StringIO()
+    write_transcripts(iter_rounds(config), sink)
+    return hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "key", sorted(GOLDEN_OUTPUT_SHA256), ids=lambda key: "-".join(map(str, key))
 )
@@ -75,3 +110,24 @@ def test_dialogue_stdout(suppress, capsys):
     argv = DIALOGUE_ARGS + (["--suppress-outcome-reveal"] if suppress else [])
     assert main(argv) == 0
     assert capsys.readouterr().out == GOLDEN_DIALOGUE[suppress]
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_SUPPRESSED_SHA256))
+def test_suppressed_run_bytes(strategy):
+    config = RunConfig(strategy=strategy, rounds=ROUNDS, seed=3, p_cm=0.5,
+                       suppress_outcome_reveal=True)
+    assert transcripts_sha256(config) == GOLDEN_SUPPRESSED_SHA256[strategy]
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_TEXT_SHA256))
+def test_text_payload_run_bytes(protocol):
+    config = RunConfig(protocol=protocol, **TEXT_RUN)
+    assert transcripts_sha256(config) == GOLDEN_TEXT_SHA256[protocol]
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_NOISY_DIALOGUE_SHA256))
+def test_noisy_dialogue_stdout(strategy, capsys):
+    argv = ["dialogue", "--attack", strategy, *DIALOGUE_ARGS[3:]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_NOISY_DIALOGUE_SHA256[strategy]

@@ -62,8 +62,6 @@ class TestConfigValidation:
             RunConfig(protocol="improved").validate()
         with pytest.raises(ConfigurationError, match="strategy"):
             RunConfig(strategy="clone").validate()
-        with pytest.raises(ConfigurationError, match="message_source"):
-            RunConfig(message_source="carrier-pigeon").validate()
 
     def test_bool_rounds_rejected(self):
         with pytest.raises(ConfigurationError, match="rounds"):
@@ -80,6 +78,23 @@ class TestConfigValidation:
     def test_run_sessions_validates_first(self):
         with pytest.raises(ConfigurationError):
             run_sessions(RunConfig(rounds=0))
+
+    @pytest.mark.parametrize("field", ["alice_text", "bob_text"])
+    @pytest.mark.parametrize("text", [None, b"hi", 7, ["hi"]])
+    def test_non_str_text_rejected(self, field, text):
+        with pytest.raises(ConfigurationError, match=field):
+            RunConfig(**{field: text}).validate()
+
+    @pytest.mark.parametrize("field", ["alice_text", "bob_text"])
+    def test_text_without_a_utf8_encoding_rejected(self, field):
+        # a lone surrogate: what a non-UTF-8 command-line byte decodes to
+        with pytest.raises(ConfigurationError, match=f"{field} cannot be encoded as UTF-8"):
+            RunConfig(**{field: "ok\udcff"}).validate()
+
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.bool_(True)])
+    def test_non_bool_suppress_outcome_reveal_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="suppress_outcome_reveal"):
+            RunConfig(suppress_outcome_reveal=value).validate()
 
 
 class TestDeterminism:
@@ -369,7 +384,6 @@ class TestTextRoundTrip:
             rounds=rounds,
             p_cm=0.3,
             seed=21,
-            message_source="text",
             alice_text=alice_text,
             bob_text=bob_text,
         )

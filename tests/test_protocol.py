@@ -277,3 +277,23 @@ class TestTranscriptInvariants:
             Announcement("eve", RECEIPT_ACK, None)
         with pytest.raises(ValueError):
             Announcement(ALICE, "shout", None)
+
+    def test_announce_returns_one_object_per_announcement(self):
+        calls = [(ALICE, RECEIPT_ACK, None), (BOB, MODE_REVEAL, Mode.CM),
+                 (BOB, OUTCOME_REVEAL, BellIndex(1, 0)), (ALICE, OP_REVEAL, PauliCode(0, 1))]
+        first = [protocol_mod._announce(*args) for args in calls]
+        assert first == [Announcement(*args) for args in calls]
+        for args, announcement in zip(calls, first):
+            assert protocol_mod._announce(*args) is announcement
+
+    @pytest.mark.parametrize(
+        "args",
+        [(ALICE, RECEIPT_ACK, Mode.MM), (BOB, OUTCOME_REVEAL, PauliCode(0, 0)),
+         (BOB, OP_REVEAL, BellIndex(0, 0)), ("eve", RECEIPT_ACK, None), (ALICE, "shout", None)],
+    )
+    def test_invalid_announcement_is_never_cached(self, args):
+        size = protocol_mod._announce.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                protocol_mod._announce(*args)
+        assert protocol_mod._announce.cache_info().currsize == size

@@ -28,3 +28,37 @@ def test_script_runs(script, header):
     lines = result.stdout.splitlines()
     assert lines[0] == header
     assert lines[1].split()[0] == "protocol"
+
+
+def test_count_code_lines_total_is_the_sum_of_the_modules():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_code_lines.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    *modules, (label, total) = rows
+    assert label == "total"
+    assert {name for name, _ in modules} == {p.name for p in (ROOT / "src" / "qdialogue").glob("*.py")}
+    assert all(int(count) > 0 for _, count in modules)
+    assert int(total) == sum(int(count) for _, count in modules)
+
+
+def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # counted: code before the comment\n"
+        "    '''Function docstring.'''\n"
+        "    text = '''two\n"
+        "    lines'''\n"
+        "    return (x,\n"
+        "            text)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["mod.py", "5", "total", "5"]

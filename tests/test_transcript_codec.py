@@ -1,6 +1,7 @@
 """The JSONL transcript codec: memoized lines, typed parse failures, invariants.
 
-Both directions of the codec memoize a line on everything but its round_id.
+Both directions of the codec memoize a line on everything but its round_id,
+in ``functools.lru_cache`` wrappers (``_line_tail``, ``_canonical_fields``).
 The reference they must match is the plain dict + json path:
 ``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to write and
 ``record_to_transcript(json.loads(line))`` to read.
@@ -47,11 +48,15 @@ def run_lines(protocol, strategy, rounds=200, seed=3, p_cm=0.5):
 
 @pytest.fixture
 def cold_memos():
-    codec._LINE_MEMO.clear()
-    codec._PARSE_MEMO.clear()
+    codec._line_tail.cache_clear()
+    codec._canonical_fields.cache_clear()
     yield
-    codec._LINE_MEMO.clear()
-    codec._PARSE_MEMO.clear()
+    codec._line_tail.cache_clear()
+    codec._canonical_fields.cache_clear()
+
+
+def parse_memo_size() -> int:
+    return codec._canonical_fields.cache_info().currsize
 
 
 class TestSerializer:
@@ -119,16 +124,17 @@ class TestParser:
                 expected = reference_parse(text)
                 assert parse_transcript_line(text) == expected  # cold or warm
                 assert parse_transcript_line(text) == expected  # warm
-        assert 0 < len(codec._PARSE_MEMO) <= MEMO_CAP
+        assert 0 < parse_memo_size() <= MEMO_CAP
 
     def test_a_hit_only_changes_the_round_id(self, cold_memos):
         line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
         first = parse_transcript_line(line)
-        assert len(codec._PARSE_MEMO) == 1
+        assert parse_memo_size() == 1
         for round_id in (1, 10, 999_999_999_999):
             other = line.replace('"round_id":0,', f'"round_id":{round_id},', 1)
             assert parse_transcript_line(other) == replace(first, round_id=round_id)
-        assert len(codec._PARSE_MEMO) == 1
+        assert parse_memo_size() == 1
+        assert codec._canonical_fields.cache_info().hits == 3
 
     @pytest.mark.parametrize(
         "variant",
@@ -156,7 +162,7 @@ class TestParser:
         for warm in (False, True):
             if warm:
                 parse_transcript_line(line)
-            before = dict(codec._PARSE_MEMO)
+            before = parse_memo_size()
             try:
                 expected = reference_parse(odd)
             except (TranscriptFormatError, ValueError):
@@ -165,34 +171,69 @@ class TestParser:
             else:
                 assert parse_transcript_line(odd) == expected
                 assert parse_transcript_line(odd) == expected
-            assert codec._PARSE_MEMO == before
+            assert parse_memo_size() == before
+
+    @pytest.mark.parametrize("round_id", [10**18, 10**18 + 7, 2**64, 10**40])
+    def test_long_round_id_takes_the_full_parse(self, round_id, cold_memos):
+        # 19 digits or more: more than the canonical head admits
+        line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
+        parse_transcript_line(line)  # warm: the tail is cached
+        long = line.replace('{"round_id":0,', f'{{"round_id":{round_id},', 1)
+        assert parse_transcript_line(long) == reference_parse(long)
+        assert parse_transcript_line(long).round_id == round_id
+        assert parse_memo_size() == 1
 
     def test_canonical_line_round_trips_byte_for_byte(self):
         for line in run_lines(MODIFIED, "disturbance"):
             assert transcript_to_line(parse_transcript_line(line + "\n")) == line
 
 
-def test_memos_stay_within_the_cap(cold_memos):
-    # distinct shapes: distinct rounds times every Eve report the parser
-    # accepts for them (none, or one per inferred Alice code); more than the cap
+def distinct_shapes() -> list:
+    """More than MEMO_CAP rounds with distinct tails: distinct rounds times
+    every Eve report the parser accepts for them (none, or one per inferred
+    Alice code), numbered in order."""
     bases = {}
     config = RunConfig(protocol=MODIFIED, strategy="disturbance", rounds=2000, seed=5)
     for t in iter_rounds(config):
         bases.setdefault(codec._fields_after_round_id(t), t)
-
     shapes = [
         replace(t, eve_report=r)
         for t in bases.values()
         for r in [None] + [replay_report(a, t.announcements) for a in ALL_CODES]
     ]
     assert len(shapes) > MEMO_CAP
-    for round_id, t in enumerate(shapes):
-        t = replace(t, round_id=round_id)
+    return [replace(t, round_id=i) for i, t in enumerate(shapes)]
+
+
+def test_memos_stay_within_the_cap(cold_memos):
+    for t in distinct_shapes():
         line = transcript_to_line(t)
         assert line == reference_line(t)
         assert parse_transcript_line(line) == t
-        assert len(codec._LINE_MEMO) <= MEMO_CAP
-        assert len(codec._PARSE_MEMO) <= MEMO_CAP
+        assert codec._line_tail.cache_info().currsize <= MEMO_CAP
+        assert parse_memo_size() <= MEMO_CAP
+
+
+def test_a_full_memo_evicts_the_least_recently_used_tail(cold_memos):
+    shapes = distinct_shapes()[: MEMO_CAP + 1]
+    lines = [transcript_to_line(t) for t in shapes]
+    for line in lines:
+        parse_transcript_line(line)
+    # one over the cap: only the first, least recently used, tail is gone
+    for memo in (codec._line_tail, codec._canonical_fields):
+        assert memo.cache_info().currsize == MEMO_CAP
+    hits = codec._canonical_fields.cache_info().hits
+    parse_transcript_line(lines[1])
+    assert codec._canonical_fields.cache_info().hits == hits + 1
+    misses = codec._canonical_fields.cache_info().misses
+    parse_transcript_line(lines[0])
+    assert codec._canonical_fields.cache_info().misses == misses + 1
+    hits = codec._line_tail.cache_info().hits
+    transcript_to_line(shapes[1])
+    assert codec._line_tail.cache_info().hits == hits + 1
+    misses = codec._line_tail.cache_info().misses
+    transcript_to_line(shapes[0])
+    assert codec._line_tail.cache_info().misses == misses + 1
 
 
 class TestFormatErrors:
