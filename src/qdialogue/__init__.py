@@ -8,7 +8,6 @@ from .adversary import (
     STRATEGIES,
     AdversaryChannel,
     EveReport,
-    EveState,
     ProtocolOrderError,
 )
 from .bell_core import (

@@ -19,6 +19,10 @@ once on the Bob->Alice leg (``on_forward``) and once on the Alice->Bob leg
 
 Every strategy acts on one pair at a time, so two 4-amplitude states are an
 exact representation; no joint 16-dimensional state is ever needed.
+
+An ``AdversaryChannel`` is one round of Eve: it holds her working memory
+for the round and, once the announcements are public, files her report,
+which is ``None`` unless she learned Alice's code.
 """
 
 from __future__ import annotations
@@ -54,29 +58,12 @@ class ProtocolOrderError(RuntimeError):
     """The channel was driven out of order; this signals a harness bug."""
 
 
-@dataclass
-class EveState:
-    """Eve's working memory, confined to a single round."""
-
-    stored_bob_pair: TwoQubitState | None = None
-    eve_code: PauliCode | None = None
-    inferred_alice: PauliCode | None = None
-
-
 @dataclass(frozen=True)
 class EveReport:
-    """What Eve believes she learned, before and after the announcements."""
+    """What Eve learned in a round: Alice's code, and Bob's if the outcome was public."""
 
-    inferred_alice: PauliCode | None = None
-    inferred_bob_private: PauliCode | None = None
+    inferred_alice: PauliCode
     inferred_bob_public: PauliCode | None = None
-
-    def is_empty(self) -> bool:
-        return (
-            self.inferred_alice is None
-            and self.inferred_bob_private is None
-            and self.inferred_bob_public is None
-        )
 
 
 class AdversaryChannel:
@@ -92,7 +79,10 @@ class AdversaryChannel:
                 f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
             )
         self.strategy = strategy
-        self.eve = EveState()
+        # Eve's working memory, confined to this round
+        self.stored_bob_pair: TwoQubitState | None = None
+        self.eve_code: PauliCode | None = None
+        self.inferred_alice: PauliCode | None = None
         self._leg = "idle"
 
     def on_forward(
@@ -111,8 +101,8 @@ class AdversaryChannel:
             _, collapsed = measure_computational(world, Qubit.TRAVEL, rng)
             return collapsed
         if self.strategy == BELL_SUBSTITUTION:
-            self.eve.stored_bob_pair = world
-            code = self.eve.eve_code = random_code(rng)
+            self.stored_bob_pair = world
+            code = self.eve_code = random_code(rng)
             # Eve prepares the Bell pair labelled by the code she drew
             return bell_state(ALL_INDICES[2 * code.k + code.l])
         return world
@@ -132,31 +122,30 @@ class AdversaryChannel:
         if self.strategy == DISTURBANCE:
             return apply_pauli(world, random_code(rng), Qubit.TRAVEL)
         if self.strategy == BELL_SUBSTITUTION:
-            eve = self.eve
-            if eve.stored_bob_pair is None or eve.eve_code is None:
+            if self.stored_bob_pair is None or self.eve_code is None:
                 raise ProtocolOrderError(
                     "bell-substitution state missing on return leg"
                 )
             outcome, _ = bell_measure(world, rng)
-            eve.inferred_alice = decode_bits(outcome, eve.eve_code)
-            delivered = apply_pauli(eve.stored_bob_pair, eve.inferred_alice, Qubit.TRAVEL)
+            self.inferred_alice = decode_bits(outcome, self.eve_code)
+            delivered = apply_pauli(self.stored_bob_pair, self.inferred_alice, Qubit.TRAVEL)
             # Eve's pair is consumed by her measurement and Bob's pair leaves
             # her hands here; only the inference survives the round.
-            eve.stored_bob_pair = None
+            self.stored_bob_pair = None
             return delivered
         return world
 
-    def observe_public(self, announcements: Iterable["Announcement"]) -> EveReport:
+    def observe_public(self, announcements: Iterable["Announcement"]) -> EveReport | None:
         """Digest the round's public announcements into Eve's final report.
 
         Only the replay attacker ever learns anything: Alice's code from her
         own Bell measurement, and Bob's code by XORing a publicly revealed
         outcome with it.  Without the outcome reveal Bob's code stays out of
-        reach.
+        reach.  Returns ``None`` when Eve learned nothing.
         """
-        if self.strategy != BELL_SUBSTITUTION or self.eve.inferred_alice is None:
-            return EveReport()
-        return replay_report(self.eve.inferred_alice, announcements)
+        if self.inferred_alice is None:
+            return None
+        return replay_report(self.inferred_alice, announcements)
 
 
 def replay_report(inferred_alice: PauliCode, announcements: Iterable["Announcement"]) -> EveReport:
@@ -164,5 +153,5 @@ def replay_report(inferred_alice: PauliCode, announcements: Iterable["Announceme
     too, by XOR with the first publicly revealed outcome, if there is one."""
     for ann in announcements:
         if ann.kind == "outcome-reveal":
-            return EveReport(inferred_alice, None, decode_bits(ann.payload, inferred_alice))
-    return EveReport(inferred_alice, None, None)
+            return EveReport(inferred_alice, decode_bits(ann.payload, inferred_alice))
+    return EveReport(inferred_alice)

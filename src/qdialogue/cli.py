@@ -200,19 +200,12 @@ def cmd_dialogue(args: argparse.Namespace) -> int:
     alice_codes = text_to_codes(config.alice_text)
     bob_codes = text_to_codes(config.bob_text)
     config.rounds = max(len(alice_codes), len(bob_codes))
-    if config.rounds == 0:
-        print("alice -> bob: ''")
-        print("bob -> alice: ''")
-        return EXIT_OK
-    _, transcripts = run_sessions(config)
+    # two empty texts need no round, and a run has at least one
+    transcripts = run_sessions(config)[1] if config.rounds else []
 
     bob_received = codes_to_text(delivered_codes(transcripts, "bob")[: len(alice_codes)])
     alice_received = codes_to_text(delivered_codes(transcripts, "alice")[: len(bob_codes)])
-    eve_alice = [
-        t.eve_report.inferred_alice
-        for t in transcripts
-        if t.eve_report is not None and t.eve_report.inferred_alice is not None
-    ]
+    eve_alice = [t.eve_report.inferred_alice for t in transcripts if t.eve_report is not None]
     eve_bob = [
         t.eve_report.inferred_bob_public
         for t in transcripts

@@ -166,7 +166,15 @@ class UniformRow:
 
 
 def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
-    """Rows start .. stop-1 of the run's uniform stream (see the module docstring)."""
+    """Rows start .. stop-1 of the run's uniform stream (see the module docstring).
+
+    Raises ``ConfigurationError`` when asked for the first row if ``start``
+    is not a non-negative integer or ``stop`` is not an integer >= ``start``.
+    """
+    if not _is_int(start) or start < 0:
+        raise ConfigurationError(f"start must be a non-negative integer, got {start!r}")
+    if not _is_int(stop) or stop < start:
+        raise ConfigurationError(f"stop must be an integer no less than start, got {stop!r}")
     bit_generator = np.random.PCG64(seed)
     bit_generator.advance(start * ROW_WIDTH)
     generator = np.random.Generator(bit_generator)
@@ -180,14 +188,28 @@ def _draw_mode(rng: UniformRow, p_cm: float) -> Mode:
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
     """The run's transcripts, one round at a time; the config is validated first."""
-    config.validate()
     return rounds_from_rows(config, uniform_rows(config.seed, 0, config.rounds))
 
 
 def rounds_from_rows(
     config: RunConfig, rows: Iterable[Sequence[float]], first_round: int = 0
 ) -> Iterator[RoundTranscript]:
-    """Play one round per row of uniforms, numbering them from ``first_round``."""
+    """Play one round per row of uniforms, numbering them from ``first_round``.
+
+    The config and ``first_round`` are validated on the call, before any row
+    is read; a bad one raises ``ConfigurationError``.
+    """
+    config.validate()
+    if not _is_int(first_round) or first_round < 0:
+        raise ConfigurationError(
+            f"first_round must be a non-negative integer, got {first_round!r}"
+        )
+    return _play_rows(config, rows, first_round)
+
+
+def _play_rows(
+    config: RunConfig, rows: Iterable[Sequence[float]], first_round: int
+) -> Iterator[RoundTranscript]:
     alice_queue = deque(text_to_codes(config.alice_text))
     bob_queue = deque(text_to_codes(config.bob_text))
 
@@ -222,11 +244,6 @@ def rounds_from_rows(
             )
 
 
-def classify_round(transcript: RoundTranscript) -> str:
-    """Bucket a round as 'cm', 'mm' or 'mixed' for the summary counters."""
-    return POLICY[transcript.protocol, transcript.bob_mode, transcript.alice_mode].bucket
-
-
 def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
     """Fold a sequence of transcripts into a RunSummary."""
     buckets = {"cm": 0, "mm": 0, "mixed": 0}
@@ -241,7 +258,7 @@ def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
 
     for t in transcripts:
         total += 1
-        buckets[classify_round(t)] += 1
+        buckets[POLICY[t.protocol, t.bob_mode, t.alice_mode].bucket] += 1
         if t.check_performed:
             checks += 1
             if not t.check_passed:
@@ -257,14 +274,14 @@ def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
                 bob_ok += 1
                 throughput += 2
         report = t.eve_report
-        if report is not None and report.inferred_alice is not None:
+        if report is not None:
             eve_a_n += 1
             if report.inferred_alice == t.alice_code:
                 eve_a_ok += 1
-        if report is not None and report.inferred_bob_public is not None:
-            eve_b_n += 1
-            if report.inferred_bob_public == t.bob_code:
-                eve_b_ok += 1
+            if report.inferred_bob_public is not None:
+                eve_b_n += 1
+                if report.inferred_bob_public == t.bob_code:
+                    eve_b_ok += 1
 
     def rate(num: int, den: int) -> float | None:
         return num / den if den else None

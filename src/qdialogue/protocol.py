@@ -224,15 +224,6 @@ def _quantum_exchange(
     return outcome
 
 
-def _eve_report(
-    channel: AdversaryChannel | None, announcements: tuple[Announcement, ...]
-) -> EveReport | None:
-    if channel is None:
-        return None
-    report = channel.observe_public(announcements)
-    return None if report.is_empty() else report
-
-
 def _run_round(
     protocol: str,
     bob_mode: Mode,
@@ -252,9 +243,8 @@ def _run_round(
     announcements = announcements_for(
         SUPPRESSED_POLICY[key] if suppress_outcome_reveal else policy, values
     )
-    return transcript_for(
-        policy, round_id, protocol, values, announcements, _eve_report(channel, announcements)
-    )
+    eve_report = None if channel is None else channel.observe_public(announcements)
+    return transcript_for(policy, round_id, protocol, values, announcements, eve_report)
 
 
 def run_round_original(

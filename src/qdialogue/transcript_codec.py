@@ -74,7 +74,7 @@ def transcript_to_record(t: RoundTranscript) -> dict:
     if t.eve_report is not None:
         eve = {
             "inferred_alice": _code_pair(t.eve_report.inferred_alice),
-            "inferred_bob_private": _code_pair(t.eve_report.inferred_bob_private),
+            "inferred_bob_private": None,  # reserved: Eve never learns Bob's code privately
             "inferred_bob_public": _code_pair(t.eve_report.inferred_bob_public),
         }
     return {
@@ -159,12 +159,15 @@ def _eve_from_record(raw, announcements) -> EveReport | None:
         return None
     alice = _pair(_get(raw, "inferred_alice", "eve"), ALL_CODES, "eve.inferred_alice")
     report = replay_report(alice, announcements)
-    for key in ("inferred_bob_private", "inferred_bob_public"):
+    for key, expected in (
+        ("inferred_bob_private", None),
+        ("inferred_bob_public", report.inferred_bob_public),
+    ):
         raw_code = _get(raw, key, "eve")
         code = None if raw_code is None else _pair(raw_code, ALL_CODES, f"eve.{key}")
-        if code != getattr(report, key):
+        if code != expected:
             raise TranscriptFormatError(
-                f"eve.{key} must be {json.dumps(_code_pair(getattr(report, key)))} "
+                f"eve.{key} must be {json.dumps(_code_pair(expected))} "
                 f"for this round, got {json.dumps(raw_code)}"
             )
     return report

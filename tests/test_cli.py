@@ -171,6 +171,31 @@ class TestRunCommand:
         _, out2, _ = run_cli(capsys, "run", "--rounds", "200", "--seed", "5", "--format", "records")
         assert out1 == out2
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_streaming_run_memory_does_not_grow_with_rounds(self, tmp_path):
+        # each child reports its own peak RSS: ten times the rounds may not
+        # cost more than a few MB, so no round outlives its line
+        child = (
+            "import resource, sys\n"
+            "from qdialogue.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        peak_kib = {}
+        for rounds in (10_000, 100_000):
+            result = subprocess.run(
+                [sys.executable, "-c", child, "run", "--protocol", "modified",
+                 "--attack", "bell-substitution", "--rounds", str(rounds),
+                 "--output", str(tmp_path / f"{rounds}.jsonl")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            peak_kib[rounds] = int(result.stderr.split()[-1])
+        assert peak_kib[100_000] - peak_kib[10_000] <= 4 * 1024, peak_kib
+
 
 class TestOracleCommand:
     def test_disturbance_fractions(self, capsys):
@@ -258,6 +283,21 @@ class TestDialogueCommand:
         assert "eve's copy of alice's text: 'hi'" in out
         assert "eve's copy of bob's text:   (nothing)" in out
         assert "alice recovered 'ok'" in out  # Alice still gets the outcome privately
+
+    @pytest.mark.parametrize("attack", ["none", "bell-substitution"])
+    def test_empty_texts_give_the_usual_report(self, attack, capsys):
+        code, out, _ = run_cli(
+            capsys, "dialogue", "--attack", attack, "--alice-text", "", "--bob-text", ""
+        )
+        assert code == 0
+        assert out == (
+            "alice sent     ''\n"
+            "bob recovered  ''\n"
+            "bob sent       ''\n"
+            "alice recovered ''\n"
+            "eve's copy of alice's text: (nothing)\n"
+            "eve's copy of bob's text:   (nothing)\n"
+        )
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -154,6 +154,38 @@ class TestUniformStream:
         merged = chunks[0] + chunks[250] + chunks[600]
         assert summarize(merged) == summarize(iter_rounds(config))
 
+    @pytest.mark.parametrize(
+        "fields, first_round, match",
+        [
+            ({"protocol": "bogus"}, 0, "protocol"),
+            ({"p_cm": "0.5"}, 0, "p_cm"),
+            ({"p_cm": 2.0}, 0, "p_cm"),
+            ({"alice_text": None}, 0, "alice_text"),
+            ({}, -3, "first_round"),
+            ({}, True, "first_round"),
+            ({}, 1.0, "first_round"),
+        ],
+        ids=["protocol", "p_cm-str", "p_cm-above-1", "text-none", "first-round-negative",
+             "first-round-bool", "first-round-float"],
+    )
+    def test_chunk_rejects_a_bad_config_before_reading_a_row(self, fields, first_round, match):
+        rows = iter([[0.5] * ROW_WIDTH])
+        with pytest.raises(ConfigurationError, match=match):
+            rounds_from_rows(RunConfig(**fields), rows, first_round)  # on the call, not on next()
+        assert next(rows) == [0.5] * ROW_WIDTH
+
+    @pytest.mark.parametrize(
+        "start, stop, match",
+        [(-5, 2, "start"), (True, 2, "start"), (1.0, 2, "start"), (3, 2, "stop"), (0, 2.0, "stop")],
+        ids=["start-negative", "start-bool", "start-float", "stop-below-start", "stop-float"],
+    )
+    def test_uniform_rows_rejects_bad_bounds(self, start, stop, match):
+        with pytest.raises(ConfigurationError, match=match):
+            next(uniform_rows(0, start, stop))
+
+    def test_empty_row_range_is_empty(self):
+        assert list(uniform_rows(0, 5, 5)) == []
+
     def test_cursor_hands_out_the_row_in_order_then_raises(self):
         row = [i / ROW_WIDTH for i in range(ROW_WIDTH)]
         cursor = UniformRow(row)
