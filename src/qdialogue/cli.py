@@ -21,7 +21,6 @@ from .harness import (
     delivered_codes,
     exact_oracle,
     iter_rounds,
-    run_sessions,
     summarize,
     tee_transcripts,
     text_to_codes,
@@ -201,7 +200,7 @@ def cmd_dialogue(args: argparse.Namespace) -> int:
     bob_codes = text_to_codes(config.bob_text)
     config.rounds = max(len(alice_codes), len(bob_codes))
     # two empty texts need no round, and a run has at least one
-    transcripts = run_sessions(config)[1] if config.rounds else []
+    transcripts = list(iter_rounds(config)) if config.rounds else []
 
     bob_received = codes_to_text(delivered_codes(transcripts, "bob")[: len(alice_codes)])
     alice_received = codes_to_text(delivered_codes(transcripts, "alice")[: len(bob_codes)])

@@ -150,12 +150,18 @@ def announcements_for(policy: RoundPolicy, values: tuple) -> tuple[Announcement,
     return (_RECEIPT, *[_announce(s, kind, values[source]) for s, kind, source in policy.reveals])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RoundTranscript:
     """Complete record of one protocol round.
 
     ``announcements`` is the public part; codes, the outcome and the decode
-    results are the experimenter's omniscient view.
+    results are the experimenter's omniscient view.  Every simulated round
+    and every parsed line builds one, so ``__init__`` is written out: it
+    checks the invariant and fills the frozen instance in one ``__dict__``
+    store instead of one ``object.__setattr__`` per field.  Its parameters
+    are the fields, in order, as a generated ``__init__``'s would be, so
+    ``dataclasses.replace`` goes through it too; ``__eq__``, ``__hash__``
+    and ``__repr__`` are still generated.
     """
 
     round_id: int
@@ -172,9 +178,22 @@ class RoundTranscript:
     alice_decoded: PauliCode | None
     eve_report: EveReport | None
 
-    def __post_init__(self) -> None:
-        if self.check_performed != (self.check_passed is not None):
+    def __init__(
+        self, round_id: int, protocol: str, bob_mode: Mode, alice_mode: Mode,
+        bob_code: PauliCode, alice_code: PauliCode, outcome: BellIndex,
+        announcements: tuple[Announcement, ...], check_performed: bool,
+        check_passed: bool | None, bob_decoded: PauliCode | None,
+        alice_decoded: PauliCode | None, eve_report: EveReport | None,
+    ) -> None:
+        if check_performed != (check_passed is not None):
             raise ValueError("check_passed must be present iff check_performed")
+        object.__setattr__(self, "__dict__", {
+            "round_id": round_id, "protocol": protocol, "bob_mode": bob_mode,
+            "alice_mode": alice_mode, "bob_code": bob_code, "alice_code": alice_code,
+            "outcome": outcome, "announcements": announcements,
+            "check_performed": check_performed, "check_passed": check_passed,
+            "bob_decoded": bob_decoded, "alice_decoded": alice_decoded, "eve_report": eve_report,
+        })
 
 
 def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> bool:

@@ -5,11 +5,17 @@ measures to the XOR of the two codes), which the bell_core tests pin to the
 matrix oracle independently.
 """
 
+import copy
+import inspect
+import pickle
+from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
+
 import numpy as np
 import pytest
 from conftest import BIT_PAIRS
 
 from qdialogue import protocol as protocol_mod
+from qdialogue.adversary import EveReport
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.protocol import (
     ALICE,
@@ -297,3 +303,78 @@ class TestTranscriptInvariants:
             with pytest.raises(ValueError):
                 protocol_mod._announce(*args)
         assert protocol_mod._announce.cache_info().currsize == size
+
+
+# one value per field, pairwise unequal, so a value stored under another
+# field's name shows; the constructor checks only the check invariant, not
+# the round's shape
+FIELD_VALUES = {
+    "round_id": 7,
+    "protocol": "original",
+    "bob_mode": Mode.MM,
+    "alice_mode": Mode.CM,
+    "bob_code": PauliCode(1, 0),
+    "alice_code": PauliCode(0, 1),
+    "outcome": BellIndex(1, 1),
+    "announcements": (Announcement(ALICE, RECEIPT_ACK, None),),
+    "check_performed": False,
+    "check_passed": None,
+    "bob_decoded": PauliCode(1, 1),
+    "alice_decoded": PauliCode(0, 0),
+    "eve_report": EveReport(PauliCode(0, 1), PauliCode(1, 0)),
+}
+# what a generated frozen dataclass with the same fields does
+GeneratedTranscript = make_dataclass(
+    "RoundTranscript", [(f.name, f.type) for f in fields(RoundTranscript)], frozen=True
+)
+
+
+def stored(t):
+    return {f.name: getattr(t, f.name) for f in fields(t)}
+
+
+class TestTranscriptConstructor:
+    """The hand-written ``RoundTranscript.__init__`` keeps the dataclass contract."""
+
+    def test_parameters_are_the_fields_in_order(self):
+        names = list(inspect.signature(RoundTranscript).parameters)
+        assert names == [f.name for f in fields(RoundTranscript)] == list(FIELD_VALUES)
+
+    def test_positional_and_keyword_builds_store_every_field(self):
+        assert stored(RoundTranscript(*FIELD_VALUES.values())) == FIELD_VALUES
+        assert stored(RoundTranscript(**FIELD_VALUES)) == FIELD_VALUES
+
+    def test_fields_are_frozen(self):
+        t = RoundTranscript(**FIELD_VALUES)
+        for name in FIELD_VALUES:
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, name)
+        assert stored(t) == FIELD_VALUES
+
+    def test_behaves_as_the_generated_dataclass(self):
+        t = RoundTranscript(*FIELD_VALUES.values())
+        by_keyword = RoundTranscript(**FIELD_VALUES)
+        generated = GeneratedTranscript(**FIELD_VALUES)
+        assert t == by_keyword and hash(t) == hash(by_keyword) == hash(generated)
+        assert repr(t) == repr(by_keyword) == repr(generated)
+        assert t != replace(t, round_id=8)
+        assert stored(replace(t, round_id=8)) == {**FIELD_VALUES, "round_id": 8}
+        for twin in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+            assert twin is not t
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+            with pytest.raises(FrozenInstanceError):
+                twin.round_id = 8
+
+    def test_check_invariant_holds_on_every_construction(self):
+        bad = {**FIELD_VALUES, "check_performed": True, "check_passed": None}
+        checked = RoundTranscript(**{**bad, "check_passed": True})
+        for build in (
+            lambda: RoundTranscript(*bad.values()),
+            lambda: RoundTranscript(**bad),
+            lambda: replace(checked, check_passed=None),
+            lambda: replace(RoundTranscript(**FIELD_VALUES), check_passed=False),
+        ):
+            with pytest.raises(ValueError, match="check_passed must be present iff check_performed"):
+                build()

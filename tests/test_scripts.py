@@ -1,5 +1,6 @@
 """The experiment scripts in scripts/ run to completion on a small run."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -62,3 +63,14 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["mod.py", "5", "total", "5"]
+
+
+def test_step_costs_gives_positive_microseconds_per_step():
+    spec = importlib.util.spec_from_file_location("step_costs", ROOT / "scripts" / "step_costs.py")
+    step_costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_costs)
+    rows = step_costs.step_costs(number=2)
+    assert [name for name, _ in rows] == [
+        "construct", "parse hit", "to_line hit", "summarize", "round original", "round modified",
+    ]
+    assert all(isinstance(us, float) and us > 0 for _, us in rows)
