@@ -9,11 +9,14 @@ change.  This script times each step bare, best of five runs:
   parse hit        ``parse_transcript_line`` on a line whose tail is cached
   to_line hit      ``transcript_to_line`` on a transcript whose tail is cached
   summarize        ``summarize`` over a batch, per transcript
+  summarize 10k    ``summarize`` over an iterator of one 10,000-round run,
+                   per transcript: a run has few shapes for its rounds
   round original   ``protocol._run_round``, original MM/MM round
   round modified   ``protocol._run_round``, modified MM/MM round
 
-The batch is one modified/bell-substitution run of 64 rounds; both rounds
-run under that attack with a fresh channel each, as the harness plays them.
+The batch is one modified/bell-substitution run of 64 rounds, and the
+10,000-round run has the same config; both rounds run under that attack
+with a fresh channel each, as the harness plays them.
 
     python scripts/step_costs.py
 """
@@ -39,6 +42,7 @@ from qdialogue.protocol import MODIFIED, ORIGINAL, Mode, RoundTranscript, _run_r
 
 STRATEGY = "bell-substitution"
 BATCH = 64
+LONG_RUN = 10_000
 
 
 def _drain(calls) -> None:
@@ -46,8 +50,12 @@ def _drain(calls) -> None:
 
 
 def step_costs(number: int = 200) -> list[tuple[str, float]]:
-    """(step, µs per call) for each step above, each over ``number`` batches."""
-    batch = list(iter_rounds(RunConfig(protocol=MODIFIED, strategy=STRATEGY, rounds=BATCH, seed=1)))
+    """(step, µs per call) for each step above, each over ``number`` batches
+    (the 10,000-round run counts as ``LONG_RUN / BATCH`` of them)."""
+    batch, long_run = (
+        list(iter_rounds(RunConfig(protocol=MODIFIED, strategy=STRATEGY, rounds=n, seed=1)))
+        for n in (BATCH, LONG_RUN)
+    )
     lines = [transcript_to_line(t) for t in batch]  # fills the line cache
     _drain(map(parse_transcript_line, lines))  # and the parser's
     values = [tuple(getattr(t, f.name) for f in fields(t)) for t in batch]
@@ -58,18 +66,21 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         channel = AdversaryChannel(STRATEGY)
         _run_round(protocol, Mode.MM, bob_bits, Mode.MM, alice_bits, channel, rng, 0)
 
-    steps = [  # each statement does BATCH calls
-        ("construct", lambda: _drain(starmap(RoundTranscript, values))),
-        ("parse hit", lambda: _drain(map(parse_transcript_line, lines))),
-        ("to_line hit", lambda: _drain(map(transcript_to_line, batch))),
-        ("summarize", lambda: summarize(batch)),
-        ("round original", lambda: _drain(map(play, [ORIGINAL] * BATCH))),
-        ("round modified", lambda: _drain(map(play, [MODIFIED] * BATCH))),
+    steps = [  # (name, statement, calls per statement)
+        ("construct", lambda: _drain(starmap(RoundTranscript, values)), BATCH),
+        ("parse hit", lambda: _drain(map(parse_transcript_line, lines)), BATCH),
+        ("to_line hit", lambda: _drain(map(transcript_to_line, batch)), BATCH),
+        ("summarize", lambda: summarize(batch), BATCH),
+        ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
+        ("round original", lambda: _drain(map(play, [ORIGINAL] * BATCH)), BATCH),
+        ("round modified", lambda: _drain(map(play, [MODIFIED] * BATCH)), BATCH),
     ]
-    return [
-        (name, min(timeit.repeat(stmt, number=number, repeat=5)) / (number * BATCH) * 1e6)
-        for name, stmt in steps
-    ]
+    results = []
+    for name, stmt, calls in steps:
+        runs = max(1, number * BATCH // calls)
+        best = min(timeit.repeat(stmt, number=runs, repeat=5))
+        results.append((name, best / (runs * calls) * 1e6))
+    return results
 
 
 def main() -> int:

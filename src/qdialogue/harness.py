@@ -168,8 +168,8 @@ class UniformRow:
 def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
     """Rows start .. stop-1 of the run's uniform stream (see the module docstring).
 
-    Raises ``ConfigurationError`` when asked for the first row if ``start``
-    is not a non-negative integer or ``stop`` is not an integer >= ``start``.
+    Raises ``ConfigurationError`` on the call if ``start`` is not a
+    non-negative integer or ``stop`` is not an integer >= ``start``.
     """
     if not _is_int(start) or start < 0:
         raise ConfigurationError(f"start must be a non-negative integer, got {start!r}")
@@ -178,8 +178,8 @@ def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
     bit_generator = np.random.PCG64(seed)
     bit_generator.advance(start * ROW_WIDTH)
     generator = np.random.Generator(bit_generator)
-    for first in range(start, stop, BLOCK_ROWS):
-        yield from generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist()
+    return (row for first in range(start, stop, BLOCK_ROWS)
+            for row in generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist())
 
 
 def _draw_mode(rng: UniformRow, p_cm: float) -> Mode:
@@ -188,6 +188,7 @@ def _draw_mode(rng: UniformRow, p_cm: float) -> Mode:
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
     """The run's transcripts, one round at a time; the config is validated first."""
+    config.validate()
     return rounds_from_rows(config, uniform_rows(config.seed, 0, config.rounds))
 
 
@@ -244,53 +245,59 @@ def _play_rows(
             )
 
 
-def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
-    """Fold a sequence of transcripts into a RunSummary."""
-    buckets = {"cm": 0, "mm": 0, "mixed": 0}
-    total = 0
-    checks = 0
-    failed = 0
-    alice_ok = alice_n = 0
-    bob_ok = bob_n = 0
-    eve_a_ok = eve_a_n = 0
-    eve_b_ok = eve_b_n = 0
-    throughput = 0
+def _contribution(t: RoundTranscript) -> tuple:
+    """What one transcript adds to each count that ``summarize`` keeps."""
+    bucket = POLICY[t.protocol, t.bob_mode, t.alice_mode].bucket
+    checked = bool(t.check_performed)
+    alice_n, bob_n = t.alice_decoded is not None, t.bob_decoded is not None
+    alice_ok = alice_n and t.alice_decoded == t.bob_code
+    bob_ok = bob_n and t.bob_decoded == t.alice_code
+    report = t.eve_report
+    eve_b_n = report is not None and report.inferred_bob_public is not None
+    return (
+        1, bucket == "cm", bucket == "mm", bucket == "mixed", checked,
+        checked and not t.check_passed, alice_ok, alice_n, bob_ok, bob_n,
+        report is not None and report.inferred_alice == t.alice_code, report is not None,
+        eve_b_n and report.inferred_bob_public == t.bob_code, eve_b_n, 2 * alice_ok + 2 * bob_ok,
+    )
 
+
+_CONTRIBUTIONS: dict[int, tuple] = {}  # shape id -> the contribution of a round of it
+
+
+def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
+    """Fold a sequence of transcripts into a RunSummary.
+
+    Rounds of one shape contribute alike, so a shaped transcript is only
+    counted, and each shape's count is folded through its contribution,
+    which is worked out once per shape; a transcript without a shape
+    contributes on its own.
+    """
+    counts: dict[int, int] = {}
+    totals = [0] * 15  # one per count of ``_contribution``
     for t in transcripts:
-        total += 1
-        buckets[POLICY[t.protocol, t.bob_mode, t.alice_mode].bucket] += 1
-        if t.check_performed:
-            checks += 1
-            if not t.check_passed:
-                failed += 1
-        if t.alice_decoded is not None:
-            alice_n += 1
-            if t.alice_decoded == t.bob_code:
-                alice_ok += 1
-                throughput += 2
-        if t.bob_decoded is not None:
-            bob_n += 1
-            if t.bob_decoded == t.alice_code:
-                bob_ok += 1
-                throughput += 2
-        report = t.eve_report
-        if report is not None:
-            eve_a_n += 1
-            if report.inferred_alice == t.alice_code:
-                eve_a_ok += 1
-            if report.inferred_bob_public is not None:
-                eve_b_n += 1
-                if report.inferred_bob_public == t.bob_code:
-                    eve_b_ok += 1
+        shape = t.shape
+        if shape is None:
+            totals = [a + b for a, b in zip(totals, _contribution(t))]
+        elif shape in counts:
+            counts[shape] += 1
+        else:
+            counts[shape] = 1
+            if shape not in _CONTRIBUTIONS:
+                _CONTRIBUTIONS[shape] = _contribution(t)
+    for shape, n in counts.items():
+        totals = [a + n * b for a, b in zip(totals, _CONTRIBUTIONS[shape])]
+    (total, cm, mm, mixed, checks, failed, alice_ok, alice_n, bob_ok, bob_n,
+     eve_a_ok, eve_a_n, eve_b_ok, eve_b_n, throughput) = totals
 
     def rate(num: int, den: int) -> float | None:
         return num / den if den else None
 
     return RunSummary(
         rounds_total=total,
-        rounds_cm=buckets["cm"],
-        rounds_mm=buckets["mm"],
-        rounds_mixed=buckets["mixed"],
+        rounds_cm=cm,
+        rounds_mm=mm,
+        rounds_mixed=mixed,
         checks_performed=checks,
         checks_failed=failed,
         detection_rate=rate(failed, checks),

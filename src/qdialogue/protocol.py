@@ -8,11 +8,23 @@ holds.  The state trajectory of a round never depends on the modes.
 The variants differ only in who chooses a mode (original: Alice alone, Bob
 is always in MM; modified: both, independently) and in what is said on the
 public channel after the measurement.  ``POLICY`` holds that difference in
-one row per round shape (protocol, Bob's mode, Alice's mode): the ordered
-reveals, whether the check runs, who decodes, and the summary bucket.  The
-round functions, the summary and the transcript parser all read it; the
-exact oracle in ``harness`` does not, so the two routes to every rate stay
+one row per (protocol, Bob's mode, Alice's mode): the ordered reveals,
+whether the check runs, who decodes, and the summary bucket.  The round
+functions, the summary and the transcript parser all read it; the exact
+oracle in ``harness`` does not, so the two routes to every rate stay
 independent.
+
+A round's shape is everything in its transcript but the round_id.  It is
+fixed by the row its announcements follow (one of the 8 in ``ROWS``), the
+two codes, the outcome and Eve's inference of Alice's code or none, so a
+shape has a dense id below ``N_SHAPES`` = 8 * 4 * 4 * 4 * 5 = 2560:
+
+    shape = (((row * 4 + bob_code) * 4 + alice_code) * 4 + outcome) * 5 + eve
+
+with a code or outcome (a, b) read as 2a + b, and eve = 0 without a report,
+else 1 + Eve's inferred Alice code.  Every simulated or parsed round carries
+its id as ``RoundTranscript.shape``; equal rounds get equal ids (see
+``ROW_NUMBER``).
 """
 
 from __future__ import annotations
@@ -103,7 +115,7 @@ BOB_MODE, ALICE_MODE, BOB_CODE, ALICE_CODE, OUTCOME = range(5)
 
 @dataclass(frozen=True)
 class RoundPolicy:
-    """What one round shape does once Bob has measured."""
+    """What a round of one protocol and pair of modes does once Bob has measured."""
 
     reveals: tuple[tuple[str, str, int], ...]  # (speaker, kind, source), in order
     checks: bool
@@ -120,7 +132,7 @@ _B_OUTCOME = (BOB, OUTCOME_REVEAL, OUTCOME)
 
 # (protocol, bob_mode, alice_mode) -> RoundPolicy(reveals, checks, bob_decodes,
 # alice_decodes, bucket).  An original round has Bob in MM, so there is no
-# (ORIGINAL, CM, *) shape.
+# (ORIGINAL, CM, *) row.
 POLICY = {
     (ORIGINAL, Mode.MM, Mode.MM): RoundPolicy((_A_MODE, _B_OUTCOME), False, True, True, "mm"),
     (ORIGINAL, Mode.MM, Mode.CM): RoundPolicy((_A_MODE, _A_CODE), True, False, False, "cm"),
@@ -134,12 +146,23 @@ POLICY = {
     ),
 }
 
-# the original rows without their outcome reveal, for ``suppress_outcome_reveal``
-SUPPRESSED_POLICY = {
-    key: replace(row, reveals=tuple(r for r in row.reveals if r[1] != OUTCOME_REVEAL))
-    for key, row in POLICY.items()
-    if key[0] == ORIGINAL
+# every row a round's announcements can follow, numbered in this order:
+# ((protocol, bob_mode, alice_mode, outcome suppressed), row).  The POLICY rows
+# come first, then the original ones without their outcome reveal (for
+# ``suppress_outcome_reveal``), which check and decode as their POLICY rows do.
+ROWS = (
+    *(((*key, False), row) for key, row in POLICY.items()),
+    *(((*key, True), replace(row, reveals=tuple(r for r in row.reveals if r[1] != OUTCOME_REVEAL)))
+      for key, row in POLICY.items() if key[0] == ORIGINAL),
+)
+# a suppressed row that hides nothing (the original message-check round has no
+# outcome reveal) takes its POLICY row's number, so equal rounds get equal ids
+_numbers: dict = {}
+ROW_NUMBER = {
+    key: _numbers.setdefault((key[:3], row.reveals), number)
+    for number, (key, row) in enumerate(ROWS)
 }
+N_SHAPES = len(ROWS) * 4 * 4 * 4 * 5  # see the module docstring
 
 _RECEIPT = _announce(ALICE, RECEIPT_ACK, None)
 
@@ -157,11 +180,15 @@ class RoundTranscript:
     ``announcements`` is the public part; codes, the outcome and the decode
     results are the experimenter's omniscient view.  Every simulated round
     and every parsed line builds one, so ``__init__`` is written out: it
-    checks the invariant and fills the frozen instance in one ``__dict__``
-    store instead of one ``object.__setattr__`` per field.  Its parameters
-    are the fields, in order, as a generated ``__init__``'s would be, so
+    checks the invariant and fills the frozen instance's ``__dict__`` key by
+    key, which keeps the class's shared-key layout.  Its parameters are the
+    fields, in order, as a generated ``__init__``'s would be, so
     ``dataclasses.replace`` goes through it too; ``__eq__``, ``__hash__``
     and ``__repr__`` are still generated.
+
+    ``shape`` is not a field: ``transcript_for`` sets it to the round's shape
+    id (see the module docstring).  A transcript built any other way, by
+    hand or by ``dataclasses.replace``, has ``shape`` None.
     """
 
     round_id: int
@@ -177,6 +204,7 @@ class RoundTranscript:
     bob_decoded: PauliCode | None
     alice_decoded: PauliCode | None
     eve_report: EveReport | None
+    shape = None
 
     def __init__(
         self, round_id: int, protocol: str, bob_mode: Mode, alice_mode: Mode,
@@ -187,13 +215,20 @@ class RoundTranscript:
     ) -> None:
         if check_performed != (check_passed is not None):
             raise ValueError("check_passed must be present iff check_performed")
-        object.__setattr__(self, "__dict__", {
-            "round_id": round_id, "protocol": protocol, "bob_mode": bob_mode,
-            "alice_mode": alice_mode, "bob_code": bob_code, "alice_code": alice_code,
-            "outcome": outcome, "announcements": announcements,
-            "check_performed": check_performed, "check_passed": check_passed,
-            "bob_decoded": bob_decoded, "alice_decoded": alice_decoded, "eve_report": eve_report,
-        })
+        d = self.__dict__
+        d["round_id"] = round_id
+        d["protocol"] = protocol
+        d["bob_mode"] = bob_mode
+        d["alice_mode"] = alice_mode
+        d["bob_code"] = bob_code
+        d["alice_code"] = alice_code
+        d["outcome"] = outcome
+        d["announcements"] = announcements
+        d["check_performed"] = check_performed
+        d["check_passed"] = check_passed
+        d["bob_decoded"] = bob_decoded
+        d["alice_decoded"] = alice_decoded
+        d["eve_report"] = eve_report
 
 
 def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> bool:
@@ -206,23 +241,32 @@ def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> 
 
 
 def transcript_for(
-    policy: RoundPolicy,
+    row: int,
     round_id: int,
-    protocol: str,
     values: tuple,
     announcements: tuple[Announcement, ...],
     eve_report: EveReport | None,
 ) -> RoundTranscript:
-    """The transcript of a round of ``policy``'s shape, whose ``values`` are as
-    in ``announcements_for``: the row says whether the check runs and who decodes."""
+    """The transcript of a round on ``ROWS[row]``, whose ``values`` are as in
+    ``announcements_for``: the row says whether the check runs and who
+    decodes.  The transcript carries its shape id if ``round_id`` is an
+    exact int, which ``str`` writes as JSON does."""
+    key, policy = ROWS[row]
     _, _, bob_code, alice_code, outcome = values
-    return RoundTranscript(
-        round_id, protocol, *values, announcements, policy.checks,
+    t = RoundTranscript(
+        round_id, key[0], *values, announcements, policy.checks,
         cm_check(outcome, bob_code, alice_code) if policy.checks else None,
         decode_bits(outcome, bob_code) if policy.bob_decodes else None,
         decode_bits(outcome, alice_code) if policy.alice_decodes else None,
         eve_report,
     )
+    shape = 5 * (((row * 4 + 2 * bob_code.k + bob_code.l) * 4 + 2 * alice_code.k + alice_code.l)
+                 * 4 + 2 * outcome.x + outcome.y)
+    if eve_report is not None:
+        shape += 1 + 2 * eve_report.inferred_alice.k + eve_report.inferred_alice.l
+    if type(round_id) is int:
+        t.__dict__["shape"] = shape
+    return t
 
 
 def _quantum_exchange(
@@ -254,16 +298,13 @@ def _run_round(
     round_id: int,
     suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
-    """Play one round of the shape (protocol, bob_mode, alice_mode) as its POLICY row says."""
-    key = (protocol, bob_mode, alice_mode)
-    policy = POLICY[key]
+    """Play one round of (protocol, bob_mode, alice_mode) as its row of ``ROWS`` says."""
+    row = ROW_NUMBER[protocol, bob_mode, alice_mode, suppress_outcome_reveal]
     outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
     values = (bob_mode, alice_mode, bob_bits, alice_bits, outcome)
-    announcements = announcements_for(
-        SUPPRESSED_POLICY[key] if suppress_outcome_reveal else policy, values
-    )
+    announcements = announcements_for(ROWS[row][1], values)
     eve_report = None if channel is None else channel.observe_public(announcements)
-    return transcript_for(policy, round_id, protocol, values, announcements, eve_report)
+    return transcript_for(row, round_id, values, announcements, eve_report)
 
 
 def run_round_original(

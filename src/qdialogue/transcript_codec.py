@@ -10,24 +10,26 @@ line compares equal to the transcript that produced it.
 definition of the format;
 ``record_to_transcript`` rejects a malformed record, or one whose check,
 announcements or Eve report differ from what the POLICY row of its round
-shape implies, with ``TranscriptFormatError``, naming the field.
+implies, with ``TranscriptFormatError``, naming the field.
 
-The lines of a run differ almost only in round_id: a run has a few dozen to
-a few hundred distinct "tails", the canonical line after '{"round_id":N'.
-``transcript_to_line`` caches the tail on every field but round_id, and
-``parse_transcript_line`` caches those fields on the tail, each in a
-``functools.lru_cache`` of at most ``MEMO_CAP`` entries; a miss runs the
-reference path, and the parser caches only canonical tails.
+A line is '{"round_id":N' and a tail that the round's shape fixes (see
+``protocol``): there are at most ``N_SHAPES`` = 2560 tails, and a run has a
+few dozen to a few hundred.  So the codec works per shape, in two tables
+with no cap, each bounded by the shape universe.  ``TAILS`` maps a shape id
+to its tail, filled on first use from the reference line, so writing a
+shaped transcript is a head, its round_id and one lookup.  The parser maps
+a canonical tail to a transcript of that shape and rebuilds a hit from it
+with the new round_id; a miss takes the full parse once, and its tail
+enters the map only if the transcript re-serializes to the line byte for
+byte.  A transcript without a shape (built by hand or by
+``dataclasses.replace``) always takes the reference serializer.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import reprlib
-from dataclasses import fields
-from operator import attrgetter
 
 from .adversary import EveReport, replay_report
 from .bell_core import ALL_CODES, ALL_INDICES, BellIndex, PauliCode
@@ -36,11 +38,11 @@ from .protocol import (
     MODE_REVEAL,
     OP_REVEAL,
     OUTCOME_REVEAL,
-    POLICY,
     PROTOCOLS,
     RECEIPT_ACK,
+    ROW_NUMBER,
+    ROWS,
     SPEAKERS,
-    SUPPRESSED_POLICY,
     Announcement,
     Mode,
     RoundTranscript,
@@ -212,25 +214,25 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
             f"check.check_performed must be true or false, got {reprlib.repr(check_performed)}"
         )
     check_passed = _get(check, "check_passed", "check")
-    shape = f"{protocol} round with modes bob={bob_mode.value}, alice={alice_mode.value}"
-    key = (protocol, bob_mode, alice_mode)
-    policy = POLICY.get(key)
-    if policy is None:
-        raise TranscriptFormatError(f"modes.bob: there is no {shape}")
-    values = (bob_mode, alice_mode, bob_code, alice_code, outcome)
+    kind = f"{protocol} round with modes bob={bob_mode.value}, alice={alice_mode.value}"
     # an original round may have kept its outcome reveal off the public channel
-    rows = (policy, SUPPRESSED_POLICY.get(key))
-    sequences = [announcements_for(row, values) for row in rows if row is not None]
+    keys = [(protocol, bob_mode, alice_mode, suppressed) for suppressed in (False, True)]
+    rows = [ROW_NUMBER[key] for key in keys if key in ROW_NUMBER]
+    if not rows:
+        raise TranscriptFormatError(f"modes.bob: there is no {kind}")
+    values = (bob_mode, alice_mode, bob_code, alice_code, outcome)
+    sequences = [announcements_for(ROWS[row][1], values) for row in rows]
     if announcements not in sequences:
         raise TranscriptFormatError(
-            f"announcements must be {' or '.join(map(_describe, sequences))} for a {shape}, "
+            f"announcements must be {' or '.join(map(_describe, sequences))} for a {kind}, "
             f"got {_describe(announcements)}"
         )
     eve = _eve_from_record(_get(rec, "eve", ""), announcements)
-    t = transcript_for(policy, round_id, protocol, values, announcements, eve)
+    row = rows[sequences.index(announcements)]
+    t = transcript_for(row, round_id, values, announcements, eve)
     if check_performed is not t.check_performed:
         raise TranscriptFormatError(
-            f"check.check_performed must be {json.dumps(t.check_performed)} for a {shape}, "
+            f"check.check_performed must be {json.dumps(t.check_performed)} for a {kind}, "
             f"got {json.dumps(check_performed)}"
         )
     if check_passed is not t.check_passed:
@@ -241,38 +243,32 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
     return t
 
 
-# -- the line codec, cached on everything but round_id (see the module docstring)
+# -- the line codec, per round shape (see the module docstring)
 
 _LINE_HEAD = '{"round_id":'
-_ZERO_HEAD = _LINE_HEAD + "0"
-# a canonical head: no sign, no leading zero; ids of 19 digits or more always
-# take the full parse, which also keeps int() far from its digit limit
-_CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})')
-MEMO_CAP = 1024  # entries per cache; the least recently used goes first
-# the RoundTranscript fields after round_id, in constructor order
-_fields_after_round_id = attrgetter(*[f.name for f in fields(RoundTranscript)][1:])
+# a canonical head: no sign, no leading zero, and the tail's comma next; ids
+# of 19 digits or more always take the full parse, which also keeps int() far
+# from its digit limit
+_CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})(?=,)')
+TAILS: dict[int, str] = {}  # shape id -> the line after '{"round_id":N'
+_PARSED: dict[str, RoundTranscript] = {}  # canonical tail -> a transcript with it
 
 
 def _reference_line(t: RoundTranscript) -> str:
     return json.dumps(transcript_to_record(t), separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=MEMO_CAP, typed=True)
-def _line_tail(*fields_after_round_id) -> str:
-    # typed: a bool and an int hash alike but serialize differently
-    return _reference_line(RoundTranscript(0, *fields_after_round_id))[len(_ZERO_HEAD) :]
-
-
 def transcript_to_line(t: RoundTranscript) -> str:
     """The canonical JSON line of a transcript (compact, keys in schema order)."""
-    round_id = t.round_id
-    if type(round_id) is not int:  # str(True) is not "true"
+    shape = t.shape
+    if shape is None:  # a hand-built or replaced transcript: its fields may be anything
         return _reference_line(t)
     try:
-        tail = _line_tail(*_fields_after_round_id(t))
-    except TypeError:  # unhashable or unserializable: only the reference path can say
-        return _reference_line(t)
-    return _LINE_HEAD + str(round_id) + tail
+        return _LINE_HEAD + str(t.round_id) + TAILS[shape]
+    except KeyError:
+        line = _reference_line(t)
+        TAILS[shape] = line[line.index(",") :]
+        return line
 
 
 def _parse(line: str) -> RoundTranscript:
@@ -283,31 +279,26 @@ def _parse(line: str) -> RoundTranscript:
     return record_to_transcript(record)
 
 
-@functools.lru_cache(maxsize=MEMO_CAP)
-def _canonical_fields(tail: str) -> tuple:
-    """The fields after round_id of the line '{"round_id":0' + ``tail`` if it
-    is canonical, optionally with one newline; raises for any other tail, and
-    an exception is never cached."""
-    line = _ZERO_HEAD + tail
-    t = _parse(line)
-    canonical = _reference_line(t)
-    if line != canonical and line != canonical + "\n":
-        raise TranscriptFormatError("line is not canonical")
-    return _fields_after_round_id(t)
-
-
 def parse_transcript_line(line: str) -> RoundTranscript:
     """Parse one JSON line (an optional trailing newline included).
 
     Raises ``TranscriptFormatError`` on a malformed line.  Once the head has
     given canonical id digits, whether the line is valid and canonical
-    depends only on its tail, so a cached tail is the canonical line of a
-    transcript that already passed the full parse.
+    depends only on its tail, so a tail in the map is the canonical line of
+    a round that already passed the full parse.
     """
     head = _CANONICAL_HEAD.match(line)
-    if head is not None:
-        try:
-            return RoundTranscript(int(head[1]), *_canonical_fields(line[head.end() :]))
-        except TranscriptFormatError:
-            pass  # the full parse reads a non-canonical line or names the fault
-    return _parse(line)
+    if head is None:
+        return _parse(line)
+    tail = line[head.end() : -1 if line.endswith("\n") else None]
+    seen = _PARSED.get(tail)
+    if seen is None:
+        t = _parse(line)
+        if _LINE_HEAD + head[1] + tail == transcript_to_line(t):
+            _PARSED[tail] = t
+        return t
+    fields = seen.__dict__.copy()
+    fields["round_id"] = int(head[1])
+    t = object.__new__(RoundTranscript)
+    object.__setattr__(t, "__dict__", fields)
+    return t

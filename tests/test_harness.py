@@ -181,7 +181,12 @@ class TestUniformStream:
     )
     def test_uniform_rows_rejects_bad_bounds(self, start, stop, match):
         with pytest.raises(ConfigurationError, match=match):
-            next(uniform_rows(0, start, stop))
+            uniform_rows(0, start, stop)  # on the call, not on next()
+
+    @pytest.mark.parametrize("rounds", [0, -5, True, 2.0])
+    def test_iter_rounds_names_a_bad_rounds_before_the_row_bounds(self, rounds):
+        with pytest.raises(ConfigurationError, match="^rounds must be"):
+            iter_rounds(RunConfig(rounds=rounds))
 
     def test_empty_row_range_is_empty(self):
         assert list(uniform_rows(0, 5, 5)) == []

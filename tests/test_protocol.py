@@ -367,6 +367,16 @@ class TestTranscriptConstructor:
             with pytest.raises(FrozenInstanceError):
                 twin.round_id = 8
 
+    def test_shape_is_not_a_field(self):
+        t = run_round_modified(
+            Mode.MM, PauliCode(1, 0), Mode.CM, PauliCode(0, 1), None, np.random.default_rng(0)
+        )
+        plain = replace(t)  # through __init__, which knows no shape
+        assert t.shape is not None and plain.shape is None
+        assert "shape" not in [f.name for f in fields(t)]
+        assert t == plain and hash(t) == hash(plain) and repr(t) == repr(plain)
+        assert RoundTranscript(**FIELD_VALUES).shape is None
+
     def test_check_invariant_holds_on_every_construction(self):
         bad = {**FIELD_VALUES, "check_performed": True, "check_passed": None}
         checked = RoundTranscript(**{**bad, "check_passed": True})

@@ -71,6 +71,7 @@ def test_step_costs_gives_positive_microseconds_per_step():
     spec.loader.exec_module(step_costs)
     rows = step_costs.step_costs(number=2)
     assert [name for name, _ in rows] == [
-        "construct", "parse hit", "to_line hit", "summarize", "round original", "round modified",
+        "construct", "parse hit", "to_line hit", "summarize", "summarize 10k", "round original",
+        "round modified",
     ]
     assert all(isinstance(us, float) and us > 0 for _, us in rows)

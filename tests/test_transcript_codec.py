@@ -1,10 +1,10 @@
-"""The JSONL transcript codec: memoized lines, typed parse failures, invariants.
+"""The JSONL transcript codec: per-shape lines, typed parse failures, invariants.
 
-Both directions of the codec memoize a line on everything but its round_id,
-in ``functools.lru_cache`` wrappers (``_line_tail``, ``_canonical_fields``).
-The reference they must match is the plain dict + json path:
-``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to write and
-``record_to_transcript(json.loads(line))`` to read.
+Both directions of the codec work per round shape: ``TAILS`` maps a shape
+id to its line tail, and the parser maps a canonical tail to a transcript
+of that shape.  The reference they must match is the plain dict + json
+path: ``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to
+write and ``record_to_transcript(json.loads(line))`` to read.
 """
 
 import json
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 import qdialogue
 from qdialogue import transcript_codec as codec
 from qdialogue.adversary import STRATEGIES, replay_report
-from qdialogue.bell_core import ALL_CODES
+from qdialogue.bell_core import ALL_CODES, ALL_INDICES
 from qdialogue.harness import (
     ConfigurationError,
     RunConfig,
@@ -29,8 +29,16 @@ from qdialogue.harness import (
     transcript_to_line,
     transcript_to_record,
 )
-from qdialogue.protocol import MODIFIED, ORIGINAL, PROTOCOLS, cm_check
-from qdialogue.transcript_codec import MEMO_CAP
+from qdialogue.protocol import (
+    MODIFIED,
+    N_SHAPES,
+    ORIGINAL,
+    PROTOCOLS,
+    ROWS,
+    announcements_for,
+    cm_check,
+    transcript_for,
+)
 
 
 def reference_line(t) -> str:
@@ -46,17 +54,45 @@ def run_lines(protocol, strategy, rounds=200, seed=3, p_cm=0.5):
     return [transcript_to_line(t) for t in iter_rounds(config)]
 
 
+def rebuild(round_id: int, shape: int):
+    """The round of shape id ``shape``, read digit by digit as the protocol
+    module's docstring lays the id out."""
+    rest, eve = divmod(shape, 5)
+    rest, outcome = divmod(rest, 4)
+    rest, alice = divmod(rest, 4)
+    row, bob = divmod(rest, 4)
+    (_, bob_mode, alice_mode, _), policy = ROWS[row]
+    values = (bob_mode, alice_mode, ALL_CODES[bob], ALL_CODES[alice], ALL_INDICES[outcome])
+    announcements = announcements_for(policy, values)
+    report = None if eve == 0 else replay_report(ALL_CODES[eve - 1], announcements)
+    return transcript_for(row, round_id, values, announcements, report)
+
+
 @pytest.fixture
 def cold_memos():
-    codec._line_tail.cache_clear()
-    codec._canonical_fields.cache_clear()
+    codec.TAILS.clear()
+    codec._PARSED.clear()
     yield
-    codec._line_tail.cache_clear()
-    codec._canonical_fields.cache_clear()
+    codec.TAILS.clear()
+    codec._PARSED.clear()
 
 
 def parse_memo_size() -> int:
-    return codec._canonical_fields.cache_info().currsize
+    return len(codec._PARSED)
+
+
+@pytest.fixture
+def json_loads_calls(monkeypatch):
+    """The number of ``json.loads`` calls made so far, as a one-item list."""
+    calls = [0]
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
 
 
 class TestSerializer:
@@ -81,10 +117,18 @@ class TestSerializer:
             suppress_outcome_reveal=suppress,
         )
         for t, round_id in zip(iter_rounds(config), round_ids * 6):
+            # the engine's transcript, cold or warm, and again once the table
+            # surely holds its tail
+            assert t.shape is not None
+            assert transcript_to_line(t) == reference_line(t)
+            assert transcript_to_line(t) == reference_line(t)
+            # a replaced transcript has no shape; a parsed one has the engine's
             t = replace(t, round_id=round_id)
-            # cold or warm, and again once the memo surely holds the tail
+            assert t.shape is None
             assert transcript_to_line(t) == reference_line(t)
-            assert transcript_to_line(t) == reference_line(t)
+            parsed = parse_transcript_line(reference_line(t))
+            assert parsed.shape is not None
+            assert transcript_to_line(parsed) == reference_line(parsed) == reference_line(t)
             # wrong types hash like the right ones but serialize differently
             for odd in (replace(t, round_id=bool(round_id % 2)),
                         replace(t, check_performed=int(t.check_performed))):
@@ -124,17 +168,34 @@ class TestParser:
                 expected = reference_parse(text)
                 assert parse_transcript_line(text) == expected  # cold or warm
                 assert parse_transcript_line(text) == expected  # warm
-        assert 0 < parse_memo_size() <= MEMO_CAP
+        assert 0 < parse_memo_size() <= N_SHAPES
 
-    def test_a_hit_only_changes_the_round_id(self, cold_memos):
+    def test_a_hit_only_changes_the_round_id(self, cold_memos, json_loads_calls):
         line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
         first = parse_transcript_line(line)
         assert parse_memo_size() == 1
+        assert json_loads_calls == [1]
         for round_id in (1, 10, 999_999_999_999):
             other = line.replace('"round_id":0,', f'"round_id":{round_id},', 1)
-            assert parse_transcript_line(other) == replace(first, round_id=round_id)
+            for text in (other, other + "\n"):
+                hit = parse_transcript_line(text)
+                assert hit == replace(first, round_id=round_id)
+                assert hit.shape == first.shape
+                assert transcript_to_line(hit) == other
         assert parse_memo_size() == 1
-        assert codec._canonical_fields.cache_info().hits == 3
+        assert json_loads_calls == [1]  # every hit skipped the full parse
+
+    def test_a_non_canonical_line_is_parsed_once(self, cold_memos, json_loads_calls):
+        line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
+        odd = line.replace(',"protocol":', ', "protocol":', 1)
+        for warm in (False, True):  # a miss whether or not the canonical tail is known
+            if warm:
+                parse_transcript_line(line)
+            expected = reference_parse(odd)
+            before = json_loads_calls[0]
+            assert parse_transcript_line(odd) == expected
+            assert json_loads_calls[0] == before + 1
+            assert parse_memo_size() == warm
 
     @pytest.mark.parametrize(
         "variant",
@@ -189,51 +250,82 @@ class TestParser:
 
 
 def distinct_shapes() -> list:
-    """More than MEMO_CAP rounds with distinct tails: distinct rounds times
-    every Eve report the parser accepts for them (none, or one per inferred
-    Alice code), numbered in order."""
-    bases = {}
-    config = RunConfig(protocol=MODIFIED, strategy="disturbance", rounds=2000, seed=5)
-    for t in iter_rounds(config):
-        bases.setdefault(codec._fields_after_round_id(t), t)
-    shapes = [
-        replace(t, eve_report=r)
-        for t in bases.values()
-        for r in [None] + [replay_report(a, t.announcements) for a in ALL_CODES]
-    ]
-    assert len(shapes) > MEMO_CAP
-    return [replace(t, round_id=i) for i, t in enumerate(shapes)]
+    """One round of every shape id, numbered in order."""
+    return [rebuild(shape, shape) for shape in range(N_SHAPES)]
 
 
-def test_memos_stay_within_the_cap(cold_memos):
-    for t in distinct_shapes():
+def test_every_shape_id_round_trips():
+    for shape, t in enumerate(distinct_shapes()):
+        assert t.shape == shape
         line = transcript_to_line(t)
         assert line == reference_line(t)
+        parsed = parse_transcript_line(line)
+        assert parsed == t
+        assert transcript_to_line(parsed) == line
+
+
+def _non_canonical(line: str) -> list[str]:
+    return [
+        line.replace(',"protocol":', ', "protocol":', 1),
+        line.replace(',"protocol":', ',"round_id":3,"protocol":', 1),
+        line[:-1] + ',"extra":1}',
+        line + " ",
+        line + "\r\n",
+    ]
+
+
+def test_tables_stay_within_the_shape_universe(cold_memos):
+    for t in distinct_shapes():
+        line = transcript_to_line(t)
         assert parse_transcript_line(line) == t
-        assert codec._line_tail.cache_info().currsize <= MEMO_CAP
-        assert parse_memo_size() <= MEMO_CAP
+        for odd in _non_canonical(line):
+            try:
+                expected = reference_parse(odd)
+            except TranscriptFormatError:
+                with pytest.raises(TranscriptFormatError):
+                    parse_transcript_line(odd)
+            else:
+                assert parse_transcript_line(odd) == expected
+    # every shape id is in, but the ids of the original message-check round
+    # with a suppressed outcome reveal (it has none to hide) repeat the tails
+    # of the same round without, which the engine and the parser number
+    assert len(codec.TAILS) == N_SHAPES
+    assert len(set(codec.TAILS.values())) == parse_memo_size() < N_SHAPES
+    for shape, tail in codec.TAILS.items():
+        assert codec._reference_line(rebuild(0, shape)) == '{"round_id":0' + tail
 
 
-def test_a_full_memo_evicts_the_least_recently_used_tail(cold_memos):
-    shapes = distinct_shapes()[: MEMO_CAP + 1]
-    lines = [transcript_to_line(t) for t in shapes]
-    for line in lines:
-        parse_transcript_line(line)
-    # one over the cap: only the first, least recently used, tail is gone
-    for memo in (codec._line_tail, codec._canonical_fields):
-        assert memo.cache_info().currsize == MEMO_CAP
-    hits = codec._canonical_fields.cache_info().hits
-    parse_transcript_line(lines[1])
-    assert codec._canonical_fields.cache_info().hits == hits + 1
-    misses = codec._canonical_fields.cache_info().misses
-    parse_transcript_line(lines[0])
-    assert codec._canonical_fields.cache_info().misses == misses + 1
-    hits = codec._line_tail.cache_info().hits
-    transcript_to_line(shapes[1])
-    assert codec._line_tail.cache_info().hits == hits + 1
-    misses = codec._line_tail.cache_info().misses
-    transcript_to_line(shapes[0])
-    assert codec._line_tail.cache_info().misses == misses + 1
+def test_every_tail_in_the_parsers_map_is_canonical(cold_memos):
+    for line in _VALID_LINES:
+        for odd in [line, line + "\n", *_non_canonical(line)]:
+            try:
+                parse_transcript_line(odd)
+            except TranscriptFormatError:
+                pass
+    assert 0 < parse_memo_size() <= N_SHAPES
+    for tail, t in codec._PARSED.items():
+        assert codec._reference_line(t) == '{"round_id":' + str(t.round_id) + tail
+        assert codec.TAILS[t.shape] == tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    strategy=st.sampled_from(STRATEGIES),
+    p_cm=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    suppress=st.booleans(),
+)
+def test_a_round_is_its_round_id_and_shape(protocol, strategy, p_cm, seed, suppress):
+    config = RunConfig(protocol=protocol, strategy=strategy, rounds=8, p_cm=p_cm, seed=seed,
+                       suppress_outcome_reveal=suppress and protocol == ORIGINAL)
+    for t in iter_rounds(config):
+        assert 0 <= t.shape < N_SHAPES
+        again = rebuild(t.round_id, t.shape)
+        assert again == t and again.shape == t.shape
+        assert transcript_to_line(again) == transcript_to_line(t) == reference_line(t)
+        # equal rounds have equal ids, however they were built
+        assert parse_transcript_line(reference_line(t)).shape == t.shape
 
 
 class TestFormatErrors:
