@@ -22,7 +22,10 @@ travel-qubit Paulis and computational-basis collapses gives the 24 states of
 marginals and collapses of those states are tabulated once at import, keyed
 by state identity, and the tables are never written afterwards; a state
 outside them (a hand-built one, or a HOME-qubit step) is computed directly
-by the same helpers and not stored.  Sampling reads one uniform per
+by the same helpers and not stored.  A state's travel-qubit Pauli images
+are one tuple in ``ALL_CODES`` order, so a tabulated step is one
+identity-hash lookup and an index at 2k + l, with no hash of the code.
+Sampling reads one uniform per
 measurement and inverts the outcome CDF, so any object with a ``random()``
 method returning floats in [0, 1) can drive it.
 """
@@ -57,6 +60,9 @@ class Qubit(Enum):
     # members are singletons compared by identity, so the identity hash is
     # correct, and it is much cheaper than Enum's hash of the member name
     __hash__ = object.__hash__
+
+
+_TRAVEL = Qubit.TRAVEL  # a global read is cheaper than an Enum class attribute
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,10 @@ def _pauli_image(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQub
 
 def apply_pauli(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
     """Apply the 2x2 operator U_code to the chosen qubit of ``state``."""
-    return _PAULI.get((state, code, target)) or _pauli_image(state, code, target)
+    images = _PAULI.get(state) if target is _TRAVEL else None
+    if images is None:
+        return _pauli_image(state, code, target)
+    return images[2 * code.k + code.l]
 
 
 def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
@@ -255,7 +264,8 @@ def random_code(rng: UniformSource) -> PauliCode:
 
 # -- the step tables, filled once by closing the Bell states under the steps
 
-_PAULI: dict[tuple, TwoQubitState] = {}  # (state, code, TRAVEL) -> image
+# state -> its travel-qubit Pauli images, in ALL_CODES order
+_PAULI: dict[TwoQubitState, tuple[TwoQubitState, ...]] = {}
 _CDF: dict[TwoQubitState, tuple[float, ...]] = {}  # state -> Bell-outcome CDF
 # (state, TRAVEL) -> (P(1), collapse on 0, collapse on 1); None for a bit of probability 0
 _COMPUTATIONAL: dict[tuple, tuple] = {}
@@ -281,8 +291,9 @@ def _tabulate() -> tuple[TwoQubitState, ...]:
     for root in _BELL_STATES:
         intern(root)
     for state in order:  # grows while the steps find new states
-        for code in ALL_CODES:
-            _PAULI[(state, code, Qubit.TRAVEL)] = intern(_pauli_image(state, code, Qubit.TRAVEL))
+        _PAULI[state] = tuple(
+            intern(_pauli_image(state, code, Qubit.TRAVEL)) for code in ALL_CODES
+        )
         _CDF[state] = _bell_cdf(state)
         p_one = _p_one(state, Qubit.TRAVEL)
         _COMPUTATIONAL[(state, Qubit.TRAVEL)] = (p_one,) + tuple(

@@ -33,7 +33,9 @@ import json
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from numbers import Real
+from operator import mul
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -150,27 +152,38 @@ class RowOverdrawError(RuntimeError):
     """A round asked for more than ROW_WIDTH uniforms; this signals a harness bug."""
 
 
-class UniformRow:
-    """One round's uniforms, handed out in order by ``random()``."""
+class _Overdraw:
+    """What a row cursor reads past its row: every draw raises."""
 
-    __slots__ = ("_next",)
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise RowOverdrawError(f"a round asked for more than {ROW_WIDTH} uniforms")
+
+
+_OVERDRAW = _Overdraw()
+
+
+class UniformRow:
+    """One round's uniforms, handed out in order by ``random()``, which is the
+    C-level ``__next__`` of the row chained to ``_OVERDRAW``."""
+
+    __slots__ = ("random",)
 
     def __init__(self, values: Sequence[float]):
-        self._next = iter(values).__next__
-
-    def random(self) -> float:
-        try:
-            return self._next()
-        except StopIteration:
-            raise RowOverdrawError(f"a round asked for more than {ROW_WIDTH} uniforms") from None
+        self.random = chain(values, _OVERDRAW).__next__
 
 
 def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
     """Rows start .. stop-1 of the run's uniform stream (see the module docstring).
 
-    Raises ``ConfigurationError`` on the call if ``start`` is not a
-    non-negative integer or ``stop`` is not an integer >= ``start``.
+    Raises ``ConfigurationError`` on the call if ``seed`` or ``start`` is not
+    a non-negative integer (a bool is not one) or ``stop`` is not an integer
+    >= ``start``.
     """
+    if not _is_int(seed) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     if not _is_int(start) or start < 0:
         raise ConfigurationError(f"start must be a non-negative integer, got {start!r}")
     if not _is_int(stop) or stop < start:
@@ -269,24 +282,27 @@ def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
     """Fold a sequence of transcripts into a RunSummary.
 
     Rounds of one shape contribute alike, so a shaped transcript is only
-    counted, and each shape's count is folded through its contribution,
-    which is worked out once per shape; a transcript without a shape
-    contributes on its own.
+    counted, and a shape's contribution is worked out once.  Each summary
+    count is then one column of the contributions folded with the shape
+    counts.  A transcript without a shape is counted under its own
+    contribution.
     """
     counts: dict[int, int] = {}
-    totals = [0] * 15  # one per count of ``_contribution``
+    loose: dict[tuple, int] = {}  # the contribution of a shapeless transcript -> its count
     for t in transcripts:
         shape = t.shape
-        if shape is None:
-            totals = [a + b for a, b in zip(totals, _contribution(t))]
-        elif shape in counts:
+        if shape in counts:
             counts[shape] += 1
+        elif shape is None:
+            contribution = _contribution(t)
+            loose[contribution] = loose.get(contribution, 0) + 1
         else:
             counts[shape] = 1
             if shape not in _CONTRIBUTIONS:
                 _CONTRIBUTIONS[shape] = _contribution(t)
-    for shape, n in counts.items():
-        totals = [a + n * b for a, b in zip(totals, _CONTRIBUTIONS[shape])]
+    contributions = [*map(_CONTRIBUTIONS.__getitem__, counts), *loose]
+    weights = [*counts.values(), *loose.values()]
+    totals = [sum(map(mul, column, weights)) for column in zip(*contributions)] or [0] * 15
     (total, cm, mm, mixed, checks, failed, alice_ok, alice_n, bob_ok, bob_n,
      eve_a_ok, eve_a_n, eve_b_ok, eve_b_n, throughput) = totals
 

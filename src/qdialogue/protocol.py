@@ -25,6 +25,17 @@ with a code or outcome (a, b) read as 2a + b, and eve = 0 without a report,
 else 1 + Eve's inferred Alice code.  Every simulated or parsed round carries
 its id as ``RoundTranscript.shape``; equal rounds get equal ids (see
 ``ROW_NUMBER``).
+
+Since the shape fixes the announcements, Eve's report, the check and the
+decodes, a round is played only up to its shape id: the channel legs and
+Bob's Bell measurement run, and ``shape_id`` reads the id off the row, the
+two codes, the outcome and ``AdversaryChannel.inferred_alice``.  Its
+transcript is ``shaped_transcript(round_id, shape)``, a copy of the shape's
+fields with the round_id set.  The fields are built once per shape, on
+first use, by ``transcript_for`` from the id's digits, so the rules above
+run once per shape, not once per round; the parser's hits take the same
+path.  A round with a round_id that is not an exact int is built rule by
+rule and has no shape.
 """
 
 from __future__ import annotations
@@ -33,8 +44,9 @@ import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .adversary import AdversaryChannel, EveReport
+from .adversary import AdversaryChannel, EveReport, replay_report
 from .bell_core import (
+    ALL_CODES,
     ALL_INDICES,
     BellIndex,
     PauliCode,
@@ -187,7 +199,8 @@ class RoundTranscript:
     and ``__repr__`` are still generated.
 
     ``shape`` is not a field: ``transcript_for`` sets it to the round's shape
-    id (see the module docstring).  A transcript built any other way, by
+    id (see the module docstring), and ``shaped_transcript`` copies it with
+    the rest of the shape's fields.  A transcript built any other way, by
     hand or by ``dataclasses.replace``, has ``shape`` None.
     """
 
@@ -240,6 +253,21 @@ def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> 
     return outcome == ALL_INDICES[2 * (bob_code.k ^ alice_code.k) + (bob_code.l ^ alice_code.l)]
 
 
+def shape_id(
+    row: int,
+    bob_code: PauliCode,
+    alice_code: PauliCode,
+    outcome: BellIndex,
+    inferred_alice: PauliCode | None,
+) -> int:
+    """The shape id of a round on ``ROWS[row]`` (see the module docstring)."""
+    shape = 5 * (((row * 4 + 2 * bob_code.k + bob_code.l) * 4 + 2 * alice_code.k + alice_code.l)
+                 * 4 + 2 * outcome.x + outcome.y)
+    if inferred_alice is None:
+        return shape
+    return shape + 1 + 2 * inferred_alice.k + inferred_alice.l
+
+
 def transcript_for(
     row: int,
     round_id: int,
@@ -260,12 +288,48 @@ def transcript_for(
         decode_bits(outcome, alice_code) if policy.alice_decodes else None,
         eve_report,
     )
-    shape = 5 * (((row * 4 + 2 * bob_code.k + bob_code.l) * 4 + 2 * alice_code.k + alice_code.l)
-                 * 4 + 2 * outcome.x + outcome.y)
-    if eve_report is not None:
-        shape += 1 + 2 * eve_report.inferred_alice.k + eve_report.inferred_alice.l
     if type(round_id) is int:
-        t.__dict__["shape"] = shape
+        t.__dict__["shape"] = shape_id(
+            row, bob_code, alice_code, outcome,
+            None if eve_report is None else eve_report.inferred_alice,
+        )
+    return t
+
+
+# shape id -> the __dict__ of a transcript of that shape, filled on first use:
+# a run meets a few dozen to a few hundred of the N_SHAPES ids
+_TEMPLATES: dict[int, dict] = {}
+# bound once: every simulated round and parser hit calls both
+_new_object, _set_attribute = object.__new__, object.__setattr__
+
+
+def _template(shape: int) -> dict:
+    """The fields of the shape's transcript, built from the id's digits."""
+    rest, eve = divmod(shape, 5)
+    rest, outcome = divmod(rest, 4)
+    rest, alice_code = divmod(rest, 4)
+    row, bob_code = divmod(rest, 4)
+    (_, bob_mode, alice_mode, _), policy = ROWS[row]
+    values = (bob_mode, alice_mode, ALL_CODES[bob_code], ALL_CODES[alice_code],
+              ALL_INDICES[outcome])
+    announcements = announcements_for(policy, values)
+    report = None if eve == 0 else replay_report(ALL_CODES[eve - 1], announcements)
+    fields = _TEMPLATES[shape] = transcript_for(row, 0, values, announcements, report).__dict__
+    return fields
+
+
+def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
+    """The transcript of round ``round_id`` of shape id ``shape``: a copy of
+    the shape's fields with the round_id set, so no rule runs per round."""
+    try:
+        fields = _TEMPLATES[shape].copy()
+    except KeyError:
+        if type(shape) is not int or not 0 <= shape < N_SHAPES:
+            raise ValueError(f"shape must be an int in [0, {N_SHAPES}), got {shape!r}") from None
+        fields = _template(shape).copy()
+    fields["round_id"] = round_id
+    t = _new_object(RoundTranscript)
+    _set_attribute(t, "__dict__", fields)
     return t
 
 
@@ -298,9 +362,17 @@ def _run_round(
     round_id: int,
     suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
-    """Play one round of (protocol, bob_mode, alice_mode) as its row of ``ROWS`` says."""
+    """Play one round of (protocol, bob_mode, alice_mode) as its row of ``ROWS`` says.
+
+    With an int ``round_id`` the round stops at its shape id and returns
+    ``shaped_transcript``, so its announcements, Eve's report, the check
+    and the decodes are not worked out again for every round.
+    """
     row = ROW_NUMBER[protocol, bob_mode, alice_mode, suppress_outcome_reveal]
     outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
+    if type(round_id) is int:
+        inferred = None if channel is None else channel.inferred_alice
+        return shaped_transcript(round_id, shape_id(row, bob_bits, alice_bits, outcome, inferred))
     values = (bob_mode, alice_mode, bob_bits, alice_bits, outcome)
     announcements = announcements_for(ROWS[row][1], values)
     eve_report = None if channel is None else channel.observe_public(announcements)

@@ -18,11 +18,12 @@ few dozen to a few hundred.  So the codec works per shape, in two tables
 with no cap, each bounded by the shape universe.  ``TAILS`` maps a shape id
 to its tail, filled on first use from the reference line, so writing a
 shaped transcript is a head, its round_id and one lookup.  The parser maps
-a canonical tail to a transcript of that shape and rebuilds a hit from it
-with the new round_id; a miss takes the full parse once, and its tail
-enters the map only if the transcript re-serializes to the line byte for
-byte.  A transcript without a shape (built by hand or by
-``dataclasses.replace``) always takes the reference serializer.
+a canonical tail to its shape id, and a hit is ``protocol.shaped_transcript``
+of the line's round_id and that id, the engine's own construction path; a
+miss takes the full parse once, and its tail enters the map only if the
+transcript re-serializes to the line byte for byte.  A transcript without
+a shape (built by hand or by ``dataclasses.replace``) always takes the
+reference serializer.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .protocol import (
     RoundTranscript,
     _announce,
     announcements_for,
+    shaped_transcript,
     transcript_for,
 )
 
@@ -251,7 +253,7 @@ _LINE_HEAD = '{"round_id":'
 # from its digit limit
 _CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})(?=,)')
 TAILS: dict[int, str] = {}  # shape id -> the line after '{"round_id":N'
-_PARSED: dict[str, RoundTranscript] = {}  # canonical tail -> a transcript with it
+_PARSED: dict[str, int] = {}  # canonical tail -> the shape id of its rounds
 
 
 def _reference_line(t: RoundTranscript) -> str:
@@ -291,14 +293,10 @@ def parse_transcript_line(line: str) -> RoundTranscript:
     if head is None:
         return _parse(line)
     tail = line[head.end() : -1 if line.endswith("\n") else None]
-    seen = _PARSED.get(tail)
-    if seen is None:
+    shape = _PARSED.get(tail)
+    if shape is None:
         t = _parse(line)
         if _LINE_HEAD + head[1] + tail == transcript_to_line(t):
-            _PARSED[tail] = t
+            _PARSED[tail] = t.shape
         return t
-    fields = seen.__dict__.copy()
-    fields["round_id"] = int(head[1])
-    t = object.__new__(RoundTranscript)
-    object.__setattr__(t, "__dict__", fields)
-    return t
+    return shaped_transcript(int(head[1]), shape)

@@ -370,8 +370,9 @@ class TestStepTables:
 
     def test_every_entry_matches_the_matrix_oracle(self):
         for state in REACHABLE:
+            assert len(bell_core._PAULI[state]) == len(ALL_CODES)
             for code in ALL_CODES:
-                image = bell_core._PAULI[(state, code, Qubit.TRAVEL)]
+                image = bell_core._PAULI[state][2 * code.k + code.l]
                 assert image in REACHABLE  # states compare by identity
                 expected = on_travel(U_ORACLE[(code.k, code.l)]) @ state.amps
                 np.testing.assert_allclose(image.amps, expected, atol=1e-12)

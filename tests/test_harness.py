@@ -7,6 +7,7 @@ acceptance suite; here the runs are kept small for fast feedback.
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -183,6 +184,12 @@ class TestUniformStream:
         with pytest.raises(ConfigurationError, match=match):
             uniform_rows(0, start, stop)  # on the call, not on next()
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7", None])
+    def test_uniform_rows_rejects_a_bad_seed(self, seed):
+        # as RunConfig.validate does, before numpy sees it
+        with pytest.raises(ConfigurationError, match="^seed must be a non-negative integer"):
+            uniform_rows(seed, 0, 2)
+
     @pytest.mark.parametrize("rounds", [0, -5, True, 2.0])
     def test_iter_rounds_names_a_bad_rounds_before_the_row_bounds(self, rounds):
         with pytest.raises(ConfigurationError, match="^rounds must be"):
@@ -195,8 +202,9 @@ class TestUniformStream:
         row = [i / ROW_WIDTH for i in range(ROW_WIDTH)]
         cursor = UniformRow(row)
         assert [cursor.random() for _ in range(ROW_WIDTH)] == row
-        with pytest.raises(RowOverdrawError):
-            cursor.random()
+        for _ in range(2):  # and on every later draw
+            with pytest.raises(RowOverdrawError, match=f"more than {ROW_WIDTH} uniforms"):
+                cursor.random()
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -494,6 +502,14 @@ class TestSummarize:
         assert summary.rounds_total == 0
         assert summary.detection_rate is None
         assert summary.throughput_bits == 0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_shapeless_copies_summarize_as_the_run_does(self, protocol):
+        summary, transcripts = run_sessions(RunConfig(protocol, BELL_SUBSTITUTION, 300, seed=8))
+        copies = [replace(t) for t in transcripts]  # equal, but without a shape
+        assert {t.shape for t in copies} == {None}
+        assert summarize(copies) == summary
+        assert summarize(copies[:100] + transcripts[100:]) == summary
 
     def test_throughput_counts_delivered_message_bits(self):
         summary, transcripts = run_sessions(RunConfig(rounds=300, p_cm=0.4, seed=8))

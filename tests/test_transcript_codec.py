@@ -1,14 +1,19 @@
 """The JSONL transcript codec: per-shape lines, typed parse failures, invariants.
 
 Both directions of the codec work per round shape: ``TAILS`` maps a shape
-id to its line tail, and the parser maps a canonical tail to a transcript
-of that shape.  The reference they must match is the plain dict + json
-path: ``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to
-write and ``record_to_transcript(json.loads(line))`` to read.
+id to its line tail, and the parser maps a canonical tail to its shape id
+and builds a hit with ``protocol.shaped_transcript``.  The reference they
+must match is the plain dict + json path:
+``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to write and
+``record_to_transcript(json.loads(line))`` to read.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 import qdialogue
+from qdialogue import protocol
 from qdialogue import transcript_codec as codec
 from qdialogue.adversary import STRATEGIES, replay_report
 from qdialogue.bell_core import ALL_CODES, ALL_INDICES
@@ -37,8 +43,11 @@ from qdialogue.protocol import (
     ROWS,
     announcements_for,
     cm_check,
+    shaped_transcript,
     transcript_for,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def reference_line(t) -> str:
@@ -264,6 +273,41 @@ def test_every_shape_id_round_trips():
         assert transcript_to_line(parsed) == line
 
 
+def test_a_shaped_transcript_is_the_round_its_shape_id_spells():
+    for shape in range(N_SHAPES):
+        t, expected = shaped_transcript(shape + 3, shape), rebuild(shape + 3, shape)
+        # every field, the shape id and their order, as transcript_for stores them
+        assert list(t.__dict__.items()) == list(expected.__dict__.items())
+        assert t == expected and t.shape == expected.shape == shape
+        assert transcript_to_line(t) == reference_line(expected)
+    assert len(protocol._TEMPLATES) == N_SHAPES
+
+
+def test_builds_of_one_shape_share_no_fields():
+    first, second = shaped_transcript(1, 7), shaped_transcript(2, 7)
+    template = protocol._TEMPLATES[7]
+    assert len({id(first.__dict__), id(second.__dict__), id(template)}) == 3
+    assert (first.round_id, second.round_id, template["round_id"]) == (1, 2, 0)
+
+
+@pytest.mark.parametrize("shape", [-1, N_SHAPES, None, "7"])
+def test_a_shape_id_outside_the_universe_is_rejected(shape):
+    with pytest.raises(ValueError, match="shape must be an int"):
+        shaped_transcript(0, shape)
+
+
+def test_importing_the_cli_fills_no_template():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import qdialogue.cli, qdialogue.protocol as p; print(len(p._TEMPLATES))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
 def _non_canonical(line: str) -> list[str]:
     return [
         line.replace(',"protocol":', ', "protocol":', 1),
@@ -291,6 +335,7 @@ def test_tables_stay_within_the_shape_universe(cold_memos):
     # of the same round without, which the engine and the parser number
     assert len(codec.TAILS) == N_SHAPES
     assert len(set(codec.TAILS.values())) == parse_memo_size() < N_SHAPES
+    assert len(protocol._TEMPLATES) <= N_SHAPES
     for shape, tail in codec.TAILS.items():
         assert codec._reference_line(rebuild(0, shape)) == '{"round_id":0' + tail
 
@@ -303,9 +348,10 @@ def test_every_tail_in_the_parsers_map_is_canonical(cold_memos):
             except TranscriptFormatError:
                 pass
     assert 0 < parse_memo_size() <= N_SHAPES
-    for tail, t in codec._PARSED.items():
-        assert codec._reference_line(t) == '{"round_id":' + str(t.round_id) + tail
-        assert codec.TAILS[t.shape] == tail
+    for tail, shape in codec._PARSED.items():
+        t = rebuild(0, shape)
+        assert codec._reference_line(t) == '{"round_id":0' + tail
+        assert codec.TAILS[shape] == tail
 
 
 @settings(max_examples=60, deadline=None)
