@@ -13,7 +13,6 @@ change.  This script times each step bare, best of five runs:
   summarize          ``summarize`` over a batch, per transcript
   summarize 10k      ``summarize`` over an iterator of one 10,000-round run,
                      per transcript: a run has few shapes for its rounds
-  row cursor         one ``UniformRow`` over a row and its ``ROW_WIDTH`` = 8 draws
   round original     ``protocol._run_round``, original MM/MM round
   round modified     ``protocol._run_round``, modified MM/MM round
 
@@ -35,9 +34,7 @@ from itertools import starmap
 from qdialogue.adversary import AdversaryChannel
 from qdialogue.bell_core import PauliCode
 from qdialogue.harness import (
-    ROW_WIDTH,
     RunConfig,
-    UniformRow,
     iter_rounds,
     parse_transcript_line,
     summarize,
@@ -72,14 +69,8 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
     _drain(map(parse_transcript_line, lines))  # and the parser's
     values = [tuple(getattr(t, f.name) for f in fields(t)) for t in batch]
     shapes = [(t.round_id, t.shape) for t in batch]
-    row = [0.5] * ROW_WIDTH
     rng = random.Random(1)
     bob_bits, alice_bits = PauliCode(1, 0), PauliCode(0, 1)
-
-    def draw_row() -> None:
-        cursor = UniformRow(row)
-        for _ in row:
-            cursor.random()
 
     def play(protocol: str) -> None:
         channel = AdversaryChannel(STRATEGY)
@@ -92,7 +83,6 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("to_line hit", lambda: _drain(map(transcript_to_line, batch)), BATCH),
         ("summarize", lambda: summarize(batch), BATCH),
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
-        ("row cursor", lambda: _drain(draw_row() for _ in range(BATCH)), BATCH),
         ("round original", lambda: _drain(map(play, [ORIGINAL] * BATCH)), BATCH),
         ("round modified", lambda: _drain(map(play, [MODIFIED] * BATCH)), BATCH),
     ]

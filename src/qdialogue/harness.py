@@ -33,7 +33,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
 from numbers import Real
 from operator import mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -152,27 +151,19 @@ class RowOverdrawError(RuntimeError):
     """A round asked for more than ROW_WIDTH uniforms; this signals a harness bug."""
 
 
-class _Overdraw:
-    """What a row cursor reads past its row: every draw raises."""
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        raise RowOverdrawError(f"a round asked for more than {ROW_WIDTH} uniforms")
-
-
-_OVERDRAW = _Overdraw()
-
-
 class UniformRow:
-    """One round's uniforms, handed out in order by ``random()``, which is the
-    C-level ``__next__`` of the row chained to ``_OVERDRAW``."""
+    """One round's uniforms, handed out in order by ``random()``."""
 
-    __slots__ = ("random",)
+    __slots__ = ("_next",)
 
     def __init__(self, values: Sequence[float]):
-        self.random = chain(values, _OVERDRAW).__next__
+        self._next = iter(values).__next__
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            raise RowOverdrawError(f"a round asked for more than {ROW_WIDTH} uniforms") from None
 
 
 def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:

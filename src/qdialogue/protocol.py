@@ -34,8 +34,8 @@ transcript is ``shaped_transcript(round_id, shape)``, a copy of the shape's
 fields with the round_id set.  The fields are built once per shape, on
 first use, by ``transcript_for`` from the id's digits, so the rules above
 run once per shape, not once per round; the parser's hits take the same
-path.  A round with a round_id that is not an exact int is built rule by
-rule and has no shape.
+path.  A round with a round_id that is not an exact int gets the same
+fields without a shape.
 """
 
 from __future__ import annotations
@@ -320,14 +320,17 @@ def _template(shape: int) -> dict:
 
 def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     """The transcript of round ``round_id`` of shape id ``shape``: a copy of
-    the shape's fields with the round_id set, so no rule runs per round."""
+    the shape's fields with the round_id set, so no rule runs per round.
+    With a ``round_id`` that is not an exact int it has no shape, as
+    ``transcript_for`` gives it.  ``shape`` must be an id that ``shape_id``
+    gave; it is not checked."""
     try:
         fields = _TEMPLATES[shape].copy()
     except KeyError:
-        if type(shape) is not int or not 0 <= shape < N_SHAPES:
-            raise ValueError(f"shape must be an int in [0, {N_SHAPES}), got {shape!r}") from None
         fields = _template(shape).copy()
     fields["round_id"] = round_id
+    if type(round_id) is not int:
+        del fields["shape"]
     t = _new_object(RoundTranscript)
     _set_attribute(t, "__dict__", fields)
     return t
@@ -364,19 +367,14 @@ def _run_round(
 ) -> RoundTranscript:
     """Play one round of (protocol, bob_mode, alice_mode) as its row of ``ROWS`` says.
 
-    With an int ``round_id`` the round stops at its shape id and returns
-    ``shaped_transcript``, so its announcements, Eve's report, the check
-    and the decodes are not worked out again for every round.
+    The round stops at its shape id and returns ``shaped_transcript``, so
+    its announcements, Eve's report, the check and the decodes are not
+    worked out again for every round.
     """
     row = ROW_NUMBER[protocol, bob_mode, alice_mode, suppress_outcome_reveal]
     outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
-    if type(round_id) is int:
-        inferred = None if channel is None else channel.inferred_alice
-        return shaped_transcript(round_id, shape_id(row, bob_bits, alice_bits, outcome, inferred))
-    values = (bob_mode, alice_mode, bob_bits, alice_bits, outcome)
-    announcements = announcements_for(ROWS[row][1], values)
-    eve_report = None if channel is None else channel.observe_public(announcements)
-    return transcript_for(row, round_id, values, announcements, eve_report)
+    inferred = None if channel is None else channel.inferred_alice
+    return shaped_transcript(round_id, shape_id(row, bob_bits, alice_bits, outcome, inferred))
 
 
 def run_round_original(

@@ -21,7 +21,8 @@ shaped transcript is a head, its round_id and one lookup.  The parser maps
 a canonical tail to its shape id, and a hit is ``protocol.shaped_transcript``
 of the line's round_id and that id, the engine's own construction path; a
 miss takes the full parse once, and its tail enters the map only if the
-transcript re-serializes to the line byte for byte.  A transcript without
+transcript re-serializes to the line byte for byte; it then returns the
+same construction as a hit.  A transcript without
 a shape (built by hand or by ``dataclasses.replace``) always takes the
 reference serializer.
 """
@@ -287,7 +288,9 @@ def parse_transcript_line(line: str) -> RoundTranscript:
     Raises ``TranscriptFormatError`` on a malformed line.  Once the head has
     given canonical id digits, whether the line is valid and canonical
     depends only on its tail, so a tail in the map is the canonical line of
-    a round that already passed the full parse.
+    a round that already passed the full parse.  A canonical line gives the
+    shape's template copy, hit or miss, so all rounds of a shape hold one
+    shape id object and ``summarize`` counts them by identity.
     """
     head = _CANONICAL_HEAD.match(line)
     if head is None:
@@ -296,7 +299,7 @@ def parse_transcript_line(line: str) -> RoundTranscript:
     shape = _PARSED.get(tail)
     if shape is None:
         t = _parse(line)
-        if _LINE_HEAD + head[1] + tail == transcript_to_line(t):
-            _PARSED[tail] = t.shape
-        return t
+        if _LINE_HEAD + head[1] + tail != transcript_to_line(t):
+            return t
+        shape = _PARSED[tail] = t.shape
     return shaped_transcript(int(head[1]), shape)

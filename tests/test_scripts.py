@@ -72,6 +72,6 @@ def test_step_costs_gives_positive_microseconds_per_step():
     rows = step_costs.step_costs(number=2)
     assert [name for name, _ in rows] == [
         "construct", "shaped transcript", "parse hit", "to_line hit", "summarize", "summarize 10k",
-        "row cursor", "round original", "round modified",
+        "round original", "round modified",
     ]
     assert all(isinstance(us, float) and us > 0 for _, us in rows)

@@ -189,7 +189,9 @@ class TestParser:
             for text in (other, other + "\n"):
                 hit = parse_transcript_line(text)
                 assert hit == replace(first, round_id=round_id)
-                assert hit.shape == first.shape
+                # one id object per shape (this id is past the cached small
+                # ints), so summarize's counts match it by identity
+                assert hit.shape is first.shape > 256
                 assert transcript_to_line(hit) == other
         assert parse_memo_size() == 1
         assert json_loads_calls == [1]  # every hit skipped the full parse
@@ -290,10 +292,11 @@ def test_builds_of_one_shape_share_no_fields():
     assert (first.round_id, second.round_id, template["round_id"]) == (1, 2, 0)
 
 
-@pytest.mark.parametrize("shape", [-1, N_SHAPES, None, "7"])
-def test_a_shape_id_outside_the_universe_is_rejected(shape):
-    with pytest.raises(ValueError, match="shape must be an int"):
-        shaped_transcript(0, shape)
+def test_a_round_id_that_is_not_an_int_gives_no_shape():
+    for round_id in (True, 7.0):
+        t = shaped_transcript(round_id, 7)
+        assert t.shape is None and t.round_id == round_id
+        assert t == replace(shaped_transcript(0, 7), round_id=round_id)
 
 
 def test_importing_the_cli_fills_no_template():
