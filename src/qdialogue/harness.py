@@ -23,7 +23,8 @@ weights, so the two routes to every probability are independent.
 
 Transcripts are written one JSON line per round by ``tee_transcripts`` and
 ``write_transcripts``; the line format and its codec live in
-``transcript_codec``, whose public names this module re-exports.
+``transcript_codec``, from which this module re-exports
+``TranscriptFormatError``, ``parse_transcript_line`` and ``transcript_to_line``.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ from .protocol import (
 from .transcript_codec import (  # noqa: F401 (re-exported)
     TranscriptFormatError,
     parse_transcript_line,
-    record_to_transcript,
     transcript_to_line,
-    transcript_to_record,
 )
 
 class ConfigurationError(ValueError):

@@ -15,9 +15,9 @@ oracle in ``harness`` does not, so the two routes to every rate stay
 independent.
 
 A round's shape is everything in its transcript but the round_id.  It is
-fixed by the row its announcements follow (one of the 8 in ``ROWS``), the
+fixed by the row its announcements follow (one of the 7 in ``ROWS``), the
 two codes, the outcome and Eve's inference of Alice's code or none, so a
-shape has a dense id below ``N_SHAPES`` = 8 * 4 * 4 * 4 * 5 = 2560:
+shape has a dense id below ``N_SHAPES`` = 7 * 4 * 4 * 4 * 5 = 2240:
 
     shape = (((row * 4 + bob_code) * 4 + alice_code) * 4 + outcome) * 5 + eve
 
@@ -32,15 +32,14 @@ Bob's Bell measurement run, and ``shape_id`` reads the id off the row, the
 two codes, the outcome and ``AdversaryChannel.inferred_alice``.  Its
 transcript is ``shaped_transcript(round_id, shape)``, a copy of the shape's
 fields with the round_id set.  The fields are built once per shape, on
-first use, by ``transcript_for`` from the id's digits, so the rules above
-run once per shape, not once per round; the parser's hits take the same
-path.  A round with a round_id that is not an exact int gets the same
-fields without a shape.
+first use, from the id's digits, so the rules above run and a
+``RoundTranscript`` is constructed once per shape, not once per round; the
+parser builds every transcript of a line the same way.  A round with a
+round_id that is not an exact int gets the same fields without a shape.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -113,13 +112,6 @@ class Announcement:
             )
 
 
-@functools.cache
-def _announce(speaker: str, kind: str, payload) -> Announcement:
-    # rounds share one validated object per announcement; an invalid one
-    # raises in the constructor and is never cached
-    return Announcement(speaker, kind, payload)
-
-
 # what a reveal publishes: an index into a round's values
 # (bob_mode, alice_mode, bob_code, alice_code, outcome)
 BOB_MODE, ALICE_MODE, BOB_CODE, ALICE_CODE, OUTCOME = range(5)
@@ -160,48 +152,40 @@ POLICY = {
 
 # every row a round's announcements can follow, numbered in this order:
 # ((protocol, bob_mode, alice_mode, outcome suppressed), row).  The POLICY rows
-# come first, then the original ones without their outcome reveal (for
-# ``suppress_outcome_reveal``), which check and decode as their POLICY rows do.
+# come first, then the original ones that reveal the outcome, without that
+# reveal (for ``suppress_outcome_reveal``); they check and decode as their
+# POLICY rows do.
 ROWS = (
     *(((*key, False), row) for key, row in POLICY.items()),
     *(((*key, True), replace(row, reveals=tuple(r for r in row.reveals if r[1] != OUTCOME_REVEAL)))
-      for key, row in POLICY.items() if key[0] == ORIGINAL),
+      for key, row in POLICY.items() if key[0] == ORIGINAL and _B_OUTCOME in row.reveals),
 )
-# a suppressed row that hides nothing (the original message-check round has no
-# outcome reveal) takes its POLICY row's number, so equal rounds get equal ids
-_numbers: dict = {}
-ROW_NUMBER = {
-    key: _numbers.setdefault((key[:3], row.reveals), number)
-    for number, (key, row) in enumerate(ROWS)
-}
+ROW_NUMBER = {key: number for number, (key, _) in enumerate(ROWS)}
+# the original message-check round has no outcome reveal to suppress
+ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, True] = ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, False]
 N_SHAPES = len(ROWS) * 4 * 4 * 4 * 5  # see the module docstring
 
-_RECEIPT = _announce(ALICE, RECEIPT_ACK, None)
+_RECEIPT = Announcement(ALICE, RECEIPT_ACK, None)
 
 
 def announcements_for(policy: RoundPolicy, values: tuple) -> tuple[Announcement, ...]:
     """A round's public announcements: Alice's receipt-ack, sent before Bob
     measures, then ``policy``'s reveals of ``values`` (indexed as the sources)."""
-    return (_RECEIPT, *[_announce(s, kind, values[source]) for s, kind, source in policy.reveals])
+    return (_RECEIPT, *[Announcement(speaker, kind, values[source])
+                        for speaker, kind, source in policy.reveals])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RoundTranscript:
     """Complete record of one protocol round.
 
     ``announcements`` is the public part; codes, the outcome and the decode
-    results are the experimenter's omniscient view.  Every simulated round
-    and every parsed line builds one, so ``__init__`` is written out: it
-    checks the invariant and fills the frozen instance's ``__dict__`` key by
-    key, which keeps the class's shared-key layout.  Its parameters are the
-    fields, in order, as a generated ``__init__``'s would be, so
-    ``dataclasses.replace`` goes through it too; ``__eq__``, ``__hash__``
-    and ``__repr__`` are still generated.
+    results are the experimenter's omniscient view.
 
-    ``shape`` is not a field: ``transcript_for`` sets it to the round's shape
-    id (see the module docstring), and ``shaped_transcript`` copies it with
-    the rest of the shape's fields.  A transcript built any other way, by
-    hand or by ``dataclasses.replace``, has ``shape`` None.
+    ``shape`` is not a field: a transcript from ``shaped_transcript`` carries
+    its round's shape id (see the module docstring), copied with the rest of
+    the shape's fields.  A transcript built any other way, by hand or by
+    ``dataclasses.replace``, has ``shape`` None.
     """
 
     round_id: int
@@ -219,29 +203,9 @@ class RoundTranscript:
     eve_report: EveReport | None
     shape = None
 
-    def __init__(
-        self, round_id: int, protocol: str, bob_mode: Mode, alice_mode: Mode,
-        bob_code: PauliCode, alice_code: PauliCode, outcome: BellIndex,
-        announcements: tuple[Announcement, ...], check_performed: bool,
-        check_passed: bool | None, bob_decoded: PauliCode | None,
-        alice_decoded: PauliCode | None, eve_report: EveReport | None,
-    ) -> None:
-        if check_performed != (check_passed is not None):
+    def __post_init__(self) -> None:
+        if self.check_performed != (self.check_passed is not None):
             raise ValueError("check_passed must be present iff check_performed")
-        d = self.__dict__
-        d["round_id"] = round_id
-        d["protocol"] = protocol
-        d["bob_mode"] = bob_mode
-        d["alice_mode"] = alice_mode
-        d["bob_code"] = bob_code
-        d["alice_code"] = alice_code
-        d["outcome"] = outcome
-        d["announcements"] = announcements
-        d["check_performed"] = check_performed
-        d["check_passed"] = check_passed
-        d["bob_decoded"] = bob_decoded
-        d["alice_decoded"] = alice_decoded
-        d["eve_report"] = eve_report
 
 
 def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> bool:
@@ -268,62 +232,42 @@ def shape_id(
     return shape + 1 + 2 * inferred_alice.k + inferred_alice.l
 
 
-def transcript_for(
-    row: int,
-    round_id: int,
-    values: tuple,
-    announcements: tuple[Announcement, ...],
-    eve_report: EveReport | None,
-) -> RoundTranscript:
-    """The transcript of a round on ``ROWS[row]``, whose ``values`` are as in
-    ``announcements_for``: the row says whether the check runs and who
-    decodes.  The transcript carries its shape id if ``round_id`` is an
-    exact int, which ``str`` writes as JSON does."""
-    key, policy = ROWS[row]
-    _, _, bob_code, alice_code, outcome = values
-    t = RoundTranscript(
-        round_id, key[0], *values, announcements, policy.checks,
-        cm_check(outcome, bob_code, alice_code) if policy.checks else None,
-        decode_bits(outcome, bob_code) if policy.bob_decodes else None,
-        decode_bits(outcome, alice_code) if policy.alice_decodes else None,
-        eve_report,
-    )
-    if type(round_id) is int:
-        t.__dict__["shape"] = shape_id(
-            row, bob_code, alice_code, outcome,
-            None if eve_report is None else eve_report.inferred_alice,
-        )
-    return t
-
-
 # shape id -> the __dict__ of a transcript of that shape, filled on first use:
 # a run meets a few dozen to a few hundred of the N_SHAPES ids
 _TEMPLATES: dict[int, dict] = {}
-# bound once: every simulated round and parser hit calls both
+# bound once: every simulated round and parsed line calls both
 _new_object, _set_attribute = object.__new__, object.__setattr__
 
 
 def _template(shape: int) -> dict:
-    """The fields of the shape's transcript, built from the id's digits."""
+    """The fields of the shape's transcript, built from the id's digits: its
+    row says whether the check runs and who decodes."""
     rest, eve = divmod(shape, 5)
     rest, outcome = divmod(rest, 4)
-    rest, alice_code = divmod(rest, 4)
-    row, bob_code = divmod(rest, 4)
-    (_, bob_mode, alice_mode, _), policy = ROWS[row]
-    values = (bob_mode, alice_mode, ALL_CODES[bob_code], ALL_CODES[alice_code],
-              ALL_INDICES[outcome])
-    announcements = announcements_for(policy, values)
-    report = None if eve == 0 else replay_report(ALL_CODES[eve - 1], announcements)
-    fields = _TEMPLATES[shape] = transcript_for(row, 0, values, announcements, report).__dict__
+    rest, alice = divmod(rest, 4)
+    row, bob = divmod(rest, 4)
+    (protocol, bob_mode, alice_mode, _), policy = ROWS[row]
+    bob_code, alice_code, outcome = ALL_CODES[bob], ALL_CODES[alice], ALL_INDICES[outcome]
+    announcements = announcements_for(policy, (bob_mode, alice_mode, bob_code, alice_code, outcome))
+    t = RoundTranscript(
+        0, protocol, bob_mode, alice_mode, bob_code, alice_code, outcome, announcements,
+        policy.checks,
+        cm_check(outcome, bob_code, alice_code) if policy.checks else None,
+        decode_bits(outcome, bob_code) if policy.bob_decodes else None,
+        decode_bits(outcome, alice_code) if policy.alice_decodes else None,
+        None if eve == 0 else replay_report(ALL_CODES[eve - 1], announcements),
+    )
+    fields = _TEMPLATES[shape] = t.__dict__
+    fields["shape"] = shape
     return fields
 
 
 def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     """The transcript of round ``round_id`` of shape id ``shape``: a copy of
     the shape's fields with the round_id set, so no rule runs per round.
-    With a ``round_id`` that is not an exact int it has no shape, as
-    ``transcript_for`` gives it.  ``shape`` must be an id that ``shape_id``
-    gave; it is not checked."""
+    With a ``round_id`` that is not an exact int, which ``str`` would not
+    write as JSON does, it has no shape.  ``shape`` must be an id that
+    ``shape_id`` gave; it is not checked."""
     try:
         fields = _TEMPLATES[shape].copy()
     except KeyError:

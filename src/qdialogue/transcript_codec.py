@@ -10,21 +10,22 @@ line compares equal to the transcript that produced it.
 definition of the format;
 ``record_to_transcript`` rejects a malformed record, or one whose check,
 announcements or Eve report differ from what the POLICY row of its round
-implies, with ``TranscriptFormatError``, naming the field.
+implies, with ``TranscriptFormatError``, naming the field.  It reads a
+record's row, codes, outcome and Eve's inference of Alice's code as a shape
+id, and returns ``protocol.shaped_transcript`` of its round_id and that id,
+the engine's own construction path.
 
 A line is '{"round_id":N' and a tail that the round's shape fixes (see
-``protocol``): there are at most ``N_SHAPES`` = 2560 tails, and a run has a
+``protocol``): there are at most ``N_SHAPES`` = 2240 tails, and a run has a
 few dozen to a few hundred.  So the codec works per shape, in two tables
 with no cap, each bounded by the shape universe.  ``TAILS`` maps a shape id
 to its tail, filled on first use from the reference line, so writing a
 shaped transcript is a head, its round_id and one lookup.  The parser maps
 a canonical tail to its shape id, and a hit is ``protocol.shaped_transcript``
-of the line's round_id and that id, the engine's own construction path; a
-miss takes the full parse once, and its tail enters the map only if the
-transcript re-serializes to the line byte for byte; it then returns the
-same construction as a hit.  A transcript without
-a shape (built by hand or by ``dataclasses.replace``) always takes the
-reference serializer.
+of the line's round_id and that id; a miss takes the full parse once, and
+its tail enters the map only if the transcript re-serializes to the line
+byte for byte.  A transcript without a shape (built by hand or by
+``dataclasses.replace``) always takes the reference serializer.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ from .protocol import (
     Announcement,
     Mode,
     RoundTranscript,
-    _announce,
     announcements_for,
+    shape_id,
     shaped_transcript,
-    transcript_for,
 )
 
 
@@ -150,7 +150,7 @@ def _announcement_from_record(rec, path: str) -> Announcement:
         raise TranscriptFormatError(
             f"{path}.kind must be one of {ANNOUNCEMENT_KINDS}, got {reprlib.repr(kind)}"
         )
-    return _announce(speaker, kind, payload)
+    return Announcement(speaker, kind, payload)
 
 
 def _describe(announcements) -> str:
@@ -232,7 +232,8 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
         )
     eve = _eve_from_record(_get(rec, "eve", ""), announcements)
     row = rows[sequences.index(announcements)]
-    t = transcript_for(row, round_id, values, announcements, eve)
+    inferred = None if eve is None else eve.inferred_alice
+    t = shaped_transcript(round_id, shape_id(row, bob_code, alice_code, outcome, inferred))
     if check_performed is not t.check_performed:
         raise TranscriptFormatError(
             f"check.check_performed must be {json.dumps(t.check_performed)} for a {kind}, "
@@ -288,18 +289,18 @@ def parse_transcript_line(line: str) -> RoundTranscript:
     Raises ``TranscriptFormatError`` on a malformed line.  Once the head has
     given canonical id digits, whether the line is valid and canonical
     depends only on its tail, so a tail in the map is the canonical line of
-    a round that already passed the full parse.  A canonical line gives the
-    shape's template copy, hit or miss, so all rounds of a shape hold one
-    shape id object and ``summarize`` counts them by identity.
+    a round that already passed the full parse.  Hit or miss, a parsed line
+    is the shape's template copy, so all rounds of a shape hold one shape id
+    object and ``summarize`` counts them by identity.
     """
     head = _CANONICAL_HEAD.match(line)
     if head is None:
         return _parse(line)
     tail = line[head.end() : -1 if line.endswith("\n") else None]
     shape = _PARSED.get(tail)
-    if shape is None:
-        t = _parse(line)
-        if _LINE_HEAD + head[1] + tail != transcript_to_line(t):
-            return t
-        shape = _PARSED[tail] = t.shape
-    return shaped_transcript(int(head[1]), shape)
+    if shape is not None:
+        return shaped_transcript(int(head[1]), shape)
+    t = _parse(line)
+    if _LINE_HEAD + head[1] + tail == transcript_to_line(t):
+        _PARSED[tail] = t.shape
+    return t

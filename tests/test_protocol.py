@@ -284,26 +284,6 @@ class TestTranscriptInvariants:
         with pytest.raises(ValueError):
             Announcement(ALICE, "shout", None)
 
-    def test_announce_returns_one_object_per_announcement(self):
-        calls = [(ALICE, RECEIPT_ACK, None), (BOB, MODE_REVEAL, Mode.CM),
-                 (BOB, OUTCOME_REVEAL, BellIndex(1, 0)), (ALICE, OP_REVEAL, PauliCode(0, 1))]
-        first = [protocol_mod._announce(*args) for args in calls]
-        assert first == [Announcement(*args) for args in calls]
-        for args, announcement in zip(calls, first):
-            assert protocol_mod._announce(*args) is announcement
-
-    @pytest.mark.parametrize(
-        "args",
-        [(ALICE, RECEIPT_ACK, Mode.MM), (BOB, OUTCOME_REVEAL, PauliCode(0, 0)),
-         (BOB, OP_REVEAL, BellIndex(0, 0)), ("eve", RECEIPT_ACK, None), (ALICE, "shout", None)],
-    )
-    def test_invalid_announcement_is_never_cached(self, args):
-        size = protocol_mod._announce.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                protocol_mod._announce(*args)
-        assert protocol_mod._announce.cache_info().currsize == size
-
 
 # one value per field, pairwise unequal, so a value stored under another
 # field's name shows; the constructor checks only the check invariant, not
@@ -334,7 +314,10 @@ def stored(t):
 
 
 class TestTranscriptConstructor:
-    """The hand-written ``RoundTranscript.__init__`` keeps the dataclass contract."""
+    """``RoundTranscript``'s generated ``__init__``, with the invariant in
+    ``__post_init__``, keeps the dataclass contract.  These tests were
+    written for a hand-written ``__init__`` and pin the generated one
+    unedited."""
 
     def test_parameters_are_the_fields_in_order(self):
         names = list(inspect.signature(RoundTranscript).parameters)

@@ -24,28 +24,28 @@ import qdialogue
 from qdialogue import protocol
 from qdialogue import transcript_codec as codec
 from qdialogue.adversary import STRATEGIES, replay_report
-from qdialogue.bell_core import ALL_CODES, ALL_INDICES
+from qdialogue.bell_core import ALL_CODES, ALL_INDICES, decode_bits
 from qdialogue.harness import (
     ConfigurationError,
     RunConfig,
     TranscriptFormatError,
     iter_rounds,
     parse_transcript_line,
-    record_to_transcript,
     transcript_to_line,
-    transcript_to_record,
 )
 from qdialogue.protocol import (
     MODIFIED,
     N_SHAPES,
     ORIGINAL,
+    POLICY,
     PROTOCOLS,
     ROWS,
+    RoundTranscript,
     announcements_for,
     cm_check,
     shaped_transcript,
-    transcript_for,
 )
+from qdialogue.transcript_codec import record_to_transcript, transcript_to_record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,16 +65,26 @@ def run_lines(protocol, strategy, rounds=200, seed=3, p_cm=0.5):
 
 def rebuild(round_id: int, shape: int):
     """The round of shape id ``shape``, read digit by digit as the protocol
-    module's docstring lays the id out."""
+    module's docstring lays the id out, and built field by field: the check
+    from its ``POLICY`` row's flags and ``cm_check``, the decodes with
+    ``decode_bits``, and the shape id as given."""
     rest, eve = divmod(shape, 5)
     rest, outcome = divmod(rest, 4)
     rest, alice = divmod(rest, 4)
     row, bob = divmod(rest, 4)
-    (_, bob_mode, alice_mode, _), policy = ROWS[row]
-    values = (bob_mode, alice_mode, ALL_CODES[bob], ALL_CODES[alice], ALL_INDICES[outcome])
-    announcements = announcements_for(policy, values)
-    report = None if eve == 0 else replay_report(ALL_CODES[eve - 1], announcements)
-    return transcript_for(row, round_id, values, announcements, report)
+    (protocol, bob_mode, alice_mode, _), reveals = ROWS[row]
+    policy = POLICY[protocol, bob_mode, alice_mode]
+    bob, alice, outcome = ALL_CODES[bob], ALL_CODES[alice], ALL_INDICES[outcome]
+    announcements = announcements_for(reveals, (bob_mode, alice_mode, bob, alice, outcome))
+    t = RoundTranscript(
+        round_id, protocol, bob_mode, alice_mode, bob, alice, outcome, announcements,
+        policy.checks, cm_check(outcome, bob, alice) if policy.checks else None,
+        decode_bits(outcome, bob) if policy.bob_decodes else None,
+        decode_bits(outcome, alice) if policy.alice_decodes else None,
+        None if eve == 0 else replay_report(ALL_CODES[eve - 1], announcements),
+    )
+    t.__dict__["shape"] = shape
+    return t
 
 
 @pytest.fixture
@@ -182,6 +192,9 @@ class TestParser:
     def test_a_hit_only_changes_the_round_id(self, cold_memos, json_loads_calls):
         line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
         first = parse_transcript_line(line)
+        # the engine filled the shape's template, and the miss returns its
+        # id object, not the one it read off the line
+        assert first.shape is protocol._TEMPLATES[first.shape]["shape"]
         assert parse_memo_size() == 1
         assert json_loads_calls == [1]
         for round_id in (1, 10, 999_999_999_999):
@@ -278,7 +291,7 @@ def test_every_shape_id_round_trips():
 def test_a_shaped_transcript_is_the_round_its_shape_id_spells():
     for shape in range(N_SHAPES):
         t, expected = shaped_transcript(shape + 3, shape), rebuild(shape + 3, shape)
-        # every field, the shape id and their order, as transcript_for stores them
+        # every field, the shape id and their order, as a constructed one stores them
         assert list(t.__dict__.items()) == list(expected.__dict__.items())
         assert t == expected and t.shape == expected.shape == shape
         assert transcript_to_line(t) == reference_line(expected)
@@ -311,6 +324,28 @@ def test_importing_the_cli_fills_no_template():
     assert result.stdout == "0\n"
 
 
+@pytest.mark.parametrize("name", PROTOCOLS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_transcript_is_constructed_per_shape_not_per_round(name, strategy, monkeypatch):
+    for module, table in ((protocol, "_TEMPLATES"), (codec, "TAILS"), (codec, "_PARSED")):
+        monkeypatch.setattr(module, table, {})
+    calls = [0]
+    init = RoundTranscript.__init__
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RoundTranscript, "__init__", counting)
+    rounds = list(iter_rounds(RunConfig(protocol=name, strategy=strategy, rounds=2000, seed=3)))
+    assert 0 < calls[0] <= len({t.shape for t in rounds})
+    built = calls[0]
+    # the parser's map is cold, so each shape's first line is a full parse
+    lines = [transcript_to_line(t) for t in rounds]
+    assert [parse_transcript_line(line) for line in lines] == rounds
+    assert calls[0] == built
+
+
 def _non_canonical(line: str) -> list[str]:
     return [
         line.replace(',"protocol":', ', "protocol":', 1),
@@ -333,11 +368,8 @@ def test_tables_stay_within_the_shape_universe(cold_memos):
                     parse_transcript_line(odd)
             else:
                 assert parse_transcript_line(odd) == expected
-    # every shape id is in, but the ids of the original message-check round
-    # with a suppressed outcome reveal (it has none to hide) repeat the tails
-    # of the same round without, which the engine and the parser number
     assert len(codec.TAILS) == N_SHAPES
-    assert len(set(codec.TAILS.values())) == parse_memo_size() < N_SHAPES
+    assert len(set(codec.TAILS.values())) == parse_memo_size() == N_SHAPES
     assert len(protocol._TEMPLATES) <= N_SHAPES
     for shape, tail in codec.TAILS.items():
         assert codec._reference_line(rebuild(0, shape)) == '{"round_id":0' + tail
