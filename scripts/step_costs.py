@@ -13,43 +13,39 @@ change.  This script times each step bare, best of five runs:
   summarize          ``summarize`` over a batch, per transcript
   summarize 10k      ``summarize`` over an iterator of one 10,000-round run,
                      per transcript: a run has few shapes for its rounds
-  round original     ``protocol._run_round``, original MM/MM round
-  round modified     ``protocol._run_round``, modified MM/MM round
+  round P S          one engine round of protocol P under strategy S
+                     (none, bell-substitution), through ``rounds_from_rows``
+                     on a fixed batch of rows: the row reads, the channel
+                     legs and Bell measurement on state ids, and
+                     ``shaped_transcript``
 
 The batch is one modified/bell-substitution run of 64 rounds, and the
-10,000-round run has the same config; both rounds run under that attack
-with a fresh channel each, as the harness plays them.
+10,000-round run has the same config; the engine rounds play the first 64
+rows of seed 1's stream with p_cm 0.5.
 
     python scripts/step_costs.py
 """
 
 from __future__ import annotations
 
-import random
 import timeit
 from collections import deque
 from dataclasses import fields
 from itertools import starmap
 
-from qdialogue.adversary import AdversaryChannel
-from qdialogue.bell_core import PauliCode
+from qdialogue.adversary import BELL_SUBSTITUTION, NONE
 from qdialogue.harness import (
     RunConfig,
     iter_rounds,
     parse_transcript_line,
+    rounds_from_rows,
     summarize,
     transcript_to_line,
+    uniform_rows,
 )
-from qdialogue.protocol import (
-    MODIFIED,
-    ORIGINAL,
-    Mode,
-    RoundTranscript,
-    _run_round,
-    shaped_transcript,
-)
+from qdialogue.protocol import MODIFIED, PROTOCOLS, RoundTranscript, shaped_transcript
 
-STRATEGY = "bell-substitution"
+STRATEGY = BELL_SUBSTITUTION
 BATCH = 64
 LONG_RUN = 10_000
 
@@ -69,12 +65,12 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
     _drain(map(parse_transcript_line, lines))  # and the parser's
     values = [tuple(getattr(t, f.name) for f in fields(t)) for t in batch]
     shapes = [(t.round_id, t.shape) for t in batch]
-    rng = random.Random(1)
-    bob_bits, alice_bits = PauliCode(1, 0), PauliCode(0, 1)
+    rows = list(uniform_rows(1, 0, BATCH))
 
-    def play(protocol: str) -> None:
-        channel = AdversaryChannel(STRATEGY)
-        _run_round(protocol, Mode.MM, bob_bits, Mode.MM, alice_bits, channel, rng, 0)
+    def engine_round(protocol: str, strategy: str):
+        config = RunConfig(protocol=protocol, strategy=strategy, p_cm=0.5)
+        return (f"round {protocol} {strategy}",
+                lambda: _drain(rounds_from_rows(config, rows)), BATCH)
 
     steps = [  # (name, statement, calls per statement)
         ("construct", lambda: _drain(starmap(RoundTranscript, values)), BATCH),
@@ -83,8 +79,7 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("to_line hit", lambda: _drain(map(transcript_to_line, batch)), BATCH),
         ("summarize", lambda: summarize(batch), BATCH),
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
-        ("round original", lambda: _drain(map(play, [ORIGINAL] * BATCH)), BATCH),
-        ("round modified", lambda: _drain(map(play, [MODIFIED] * BATCH)), BATCH),
+        *(engine_round(p, s) for p in PROTOCOLS for s in (NONE, BELL_SUBSTITUTION)),
     ]
     results = []
     for name, stmt, calls in steps:
@@ -96,7 +91,7 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
 
 def main() -> int:
     for name, us in step_costs():
-        print(f"{name:<18} {us:8.3f} us")
+        print(f"{name:<33} {us:8.3f} us")
     return 0
 
 

@@ -18,16 +18,22 @@ physically holding when they encode.
 Every step the protocols take is a stabilizer operation, so the simulator
 only ever reaches a finite set of states: closing the four Bell states under
 travel-qubit Paulis and computational-basis collapses gives the 24 states of
-``REACHABLE``.  The Pauli images, Bell-outcome CDFs and computational-basis
-marginals and collapses of those states are tabulated once at import, keyed
-by state identity, and the tables are never written afterwards; a state
-outside them (a hand-built one, or a HOME-qubit step) is computed directly
-by the same helpers and not stored.  A state's travel-qubit Pauli images
-are one tuple in ``ALL_CODES`` order, so a tabulated step is one
-identity-hash lookup and an index at 2k + l, with no hash of the code.
-Sampling reads one uniform per
-measurement and inverts the outcome CDF, so any object with a ``random()``
-method returning floats in [0, 1) can drive it.
+``REACHABLE``, the Bell states first in ``ALL_INDICES`` order.  A state's
+position there is its id, and the step tables are tuples indexed by id,
+filled once at import from the amplitude helpers below:
+
+    PAULI[s][2k + l]   the id of U_kl applied to the travel qubit of s
+    CDF[s]             the Bell-outcome CDF of s, in ALL_INDICES order
+    TAP[s]             (P(travel bit = 1), id on 0, id on 1), None for a
+                       bit of probability 0
+
+The round engine composes these ids directly.  The ``TwoQubitState``
+functions read the same tables through ``STATE_ID`` (state -> id, an
+identity-hash lookup); a state outside them (a hand-built one, or a
+HOME-qubit step) is computed directly by the same helpers and not stored.
+A measurement reads one uniform and samples by ``bell_outcome`` or
+``tap_outcome``, so a state function can be driven by any object with a
+``random()`` method returning floats in [0, 1).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ _BITS = (0, 1)
 
 
 class UniformSource(Protocol):
-    """Where sampling gets its uniforms: a numpy Generator, or the harness's row cursor."""
+    """Where a state function gets its uniforms, for example a numpy Generator."""
 
     def random(self) -> float:
         """One uniform draw in [0, 1)."""
@@ -180,10 +186,10 @@ def _pauli_image(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQub
 
 def apply_pauli(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
     """Apply the 2x2 operator U_code to the chosen qubit of ``state``."""
-    images = _PAULI.get(state) if target is _TRAVEL else None
-    if images is None:
+    sid = STATE_ID.get(state) if target is _TRAVEL else None
+    if sid is None:
         return _pauli_image(state, code, target)
-    return images[2 * code.k + code.l]
+    return REACHABLE[PAULI[sid][2 * code.k + code.l]]
 
 
 def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
@@ -206,6 +212,13 @@ def _bell_cdf(state: TwoQubitState) -> tuple[float, ...]:
     return tuple(np.cumsum(probs).tolist())
 
 
+def bell_outcome(cdf: tuple[float, ...], u: float) -> int:
+    """The Bell outcome, as its position in ALL_INDICES, that the uniform
+    ``u`` draws from ``cdf``: the first whose cumulative weight exceeds
+    u * total (the inverse CDF), and the last one if none does."""
+    return bisect_right(cdf, u * cdf[-1], 0, 3)
+
+
 def bell_measure(
     state: TwoQubitState, rng: UniformSource
 ) -> tuple[BellIndex, TwoQubitState]:
@@ -214,9 +227,8 @@ def bell_measure(
     Samples the outcome with its Born probability and returns the outcome
     label together with the collapsed (post-measurement) state.
     """
-    cdf = _CDF.get(state) or _bell_cdf(state)
-    # inverse CDF: the first outcome whose cumulative weight exceeds u * total
-    i = min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
+    sid = STATE_ID.get(state)
+    i = bell_outcome(_bell_cdf(state) if sid is None else CDF[sid], rng.random())
     return ALL_INDICES[i], _BELL_STATES[i]
 
 
@@ -229,6 +241,13 @@ def _collapse(state: TwoQubitState, target: Qubit, bit: int, p_bit: float) -> Tw
     return TwoQubitState(kept / np.sqrt(p_bit))
 
 
+def tap_outcome(entry: tuple, u: float) -> tuple[int, int | None]:
+    """The bit the uniform ``u`` draws from a ``TAP`` entry (1 iff u < P(1))
+    and the entry's collapse on it."""
+    bit = 1 if u < entry[0] else 0
+    return bit, entry[1 + bit]
+
+
 def measure_computational(
     state: TwoQubitState, target: Qubit, rng: UniformSource
 ) -> tuple[int, TwoQubitState]:
@@ -236,11 +255,13 @@ def measure_computational(
 
     Returns the sampled bit and the collapsed, renormalized pair state.
     """
-    entry = _COMPUTATIONAL.get((state, target)) or (_p_one(state, target), None, None)
-    p_one = entry[0]
-    bit = 1 if rng.random() < p_one else 0
+    sid = STATE_ID.get(state) if target is _TRAVEL else None
+    entry = (_p_one(state, target), None, None) if sid is None else TAP[sid]
+    bit, post = tap_outcome(entry, rng.random())
+    if post is not None:
+        return bit, REACHABLE[post]
     # a bit of probability 0 has no tabulated collapse; computing it raises
-    return bit, entry[1 + bit] or _collapse(state, target, bit, p_one if bit else 1.0 - p_one)
+    return bit, _collapse(state, target, bit, entry[0] if bit else 1.0 - entry[0])
 
 
 def decode_bits(outcome: BellIndex, own: PauliCode) -> PauliCode:
@@ -264,43 +285,36 @@ def random_code(rng: UniformSource) -> PauliCode:
 
 # -- the step tables, filled once by closing the Bell states under the steps
 
-# state -> its travel-qubit Pauli images, in ALL_CODES order
-_PAULI: dict[TwoQubitState, tuple[TwoQubitState, ...]] = {}
-_CDF: dict[TwoQubitState, tuple[float, ...]] = {}  # state -> Bell-outcome CDF
-# (state, TRAVEL) -> (P(1), collapse on 0, collapse on 1); None for a bit of probability 0
-_COMPUTATIONAL: dict[tuple, tuple] = {}
-
-
-def _tabulate() -> tuple[TwoQubitState, ...]:
-    """Fill the step tables for every state reachable from the Bell states.
+def _tabulate() -> tuple[tuple, ...]:
+    """REACHABLE, PAULI, CDF and TAP (see the module docstring).
 
     States are interned by amplitude bytes while the tables are built, so
-    each reachable state is one object; returns them in discovery order,
+    each reachable state is one object and one id, in discovery order with
     the Bell states first.
     """
-    known: dict[bytes, TwoQubitState] = {}
-    order: list[TwoQubitState] = []
+    ids: dict[bytes, int] = {}
+    states: list[TwoQubitState] = []
 
-    def intern(state: TwoQubitState) -> TwoQubitState:
+    def intern(state: TwoQubitState) -> int:
         key = state.amps.tobytes()
-        if key not in known:
-            known[key] = state
-            order.append(state)
-        return known[key]
+        if key not in ids:
+            ids[key] = len(states)
+            states.append(state)
+        return ids[key]
 
     for root in _BELL_STATES:
         intern(root)
-    for state in order:  # grows while the steps find new states
-        _PAULI[state] = tuple(
-            intern(_pauli_image(state, code, Qubit.TRAVEL)) for code in ALL_CODES
-        )
-        _CDF[state] = _bell_cdf(state)
+    pauli, cdf, tap = [], [], []
+    for state in states:  # grows while the steps find new states
+        pauli.append(tuple(intern(_pauli_image(state, code, Qubit.TRAVEL)) for code in ALL_CODES))
+        cdf.append(_bell_cdf(state))
         p_one = _p_one(state, Qubit.TRAVEL)
-        _COMPUTATIONAL[(state, Qubit.TRAVEL)] = (p_one,) + tuple(
+        tap.append((p_one,) + tuple(
             intern(_collapse(state, Qubit.TRAVEL, bit, p_bit)) if p_bit > NORM_ATOL else None
             for bit, p_bit in enumerate((1.0 - p_one, p_one))
-        )
-    return tuple(order)
+        ))
+    return tuple(states), tuple(pauli), tuple(cdf), tuple(tap)
 
 
-REACHABLE = _tabulate()
+REACHABLE, PAULI, CDF, TAP = _tabulate()
+STATE_ID = {state: sid for sid, state in enumerate(REACHABLE)}  # states hash by identity

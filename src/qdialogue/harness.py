@@ -8,14 +8,18 @@ uniforms per run:
     of numpy's Generator(PCG64(seed)).random() stream
 
 Rows are drawn in blocks of ``Generator.random((n, ROW_WIDTH))``, which
-fills them in that order.  A round takes its uniforms in order through a
-``UniformRow`` cursor that raises ``RowOverdrawError`` if it asks for more
-than ROW_WIDTH; unread ones are skipped.  A code is ALL_CODES[floor(4u)], a
-mode is CM iff u < p_cm, and a measurement outcome is the inverse CDF of
-its Born probabilities at u.  Because a round's row depends only on
-(seed, i), a shorter run is a prefix of a longer one, and a chunk of
-rounds [a, b) can start anywhere with ``PCG64(seed).advance(a * ROW_WIDTH)``
-(see ``uniform_rows``) and be merged in any order.
+fills them in that order.  A round reads its row by position, in this
+order: the modes (Bob's first; an original round draws Alice's only), Bob's
+code, Alice's code, then the uniforms its channel legs and Bob's
+measurement read (see ``protocol``).  A code taken from a text queue reads
+no uniform, so later positions move up; unread uniforms are skipped, and a
+round that reads past the end of a short row raises ``RowOverdrawError``.
+A code is ALL_CODES[floor(4u)], a mode is CM iff u < p_cm, and a
+measurement outcome is the inverse CDF of its Born probabilities at u.
+Because a round's row depends only on (seed, i), a shorter run is a prefix
+of a longer one, and a chunk of rounds [a, b) can start anywhere with
+``PCG64(seed).advance(a * ROW_WIDTH)`` (see ``uniform_rows``) and be merged
+in any order.
 
 The oracle side never touches the statevector simulator: it enumerates the
 finitely many discrete branches of each strategy with exact rational
@@ -40,15 +44,8 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adversary import (
-    BELL_SUBSTITUTION,
-    DISTURBANCE,
-    MEASURE_RESEND,
-    NONE,
-    STRATEGIES,
-    AdversaryChannel,
-)
-from .bell_core import ALL_CODES, BellIndex, PauliCode, random_code
+from .adversary import BELL_SUBSTITUTION, DISTURBANCE, MEASURE_RESEND, NONE, STRATEGIES
+from .bell_core import ALL_CODES, BellIndex, PauliCode
 from .protocol import (
     ORIGINAL,
     POLICY,
@@ -147,22 +144,7 @@ BLOCK_ROWS = 1024  # rows drawn per Generator.random call
 
 
 class RowOverdrawError(RuntimeError):
-    """A round asked for more than ROW_WIDTH uniforms; this signals a harness bug."""
-
-
-class UniformRow:
-    """One round's uniforms, handed out in order by ``random()``."""
-
-    __slots__ = ("_next",)
-
-    def __init__(self, values: Sequence[float]):
-        self._next = iter(values).__next__
-
-    def random(self) -> float:
-        try:
-            return self._next()
-        except StopIteration:
-            raise RowOverdrawError(f"a round asked for more than {ROW_WIDTH} uniforms") from None
+    """A round read past the end of its row; this signals a harness bug."""
 
 
 def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
@@ -183,10 +165,6 @@ def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
     generator = np.random.Generator(bit_generator)
     return (row for first in range(start, stop, BLOCK_ROWS)
             for row in generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist())
-
-
-def _draw_mode(rng: UniformRow, p_cm: float) -> Mode:
-    return Mode.CM if rng.random() < p_cm else Mode.MM
 
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
@@ -214,38 +192,44 @@ def rounds_from_rows(
 def _play_rows(
     config: RunConfig, rows: Iterable[Sequence[float]], first_round: int
 ) -> Iterator[RoundTranscript]:
-    alice_queue = deque(text_to_codes(config.alice_text))
-    bob_queue = deque(text_to_codes(config.bob_text))
+    alice_queue = deque(_code_positions(config.alice_text))
+    bob_queue = deque(_code_positions(config.bob_text))
+    protocol, strategy, p_cm = config.protocol, config.strategy, config.p_cm
+    suppress = config.suppress_outcome_reveal
+    original = protocol == ORIGINAL
+    mm, cm = Mode.MM, Mode.CM
+    # (bob_mode, alice_mode) -> whether Bob's code, then Alice's, carries a
+    # message: a code does iff the other party decodes it
+    carries = {(bob_mode, alice_mode): (policy.alice_decodes, policy.bob_decodes)
+               for (p, bob_mode, alice_mode), policy in POLICY.items() if p == protocol}
 
-    def next_bits(queue: deque, carries_message: bool, rng: UniformRow) -> PauliCode:
+    def draw_code(queue: deque, carries_message: bool, row: Sequence[float], at: int):
+        """A party's code and the position of the next unread uniform."""
         if carries_message and queue:
-            return queue.popleft()
-        return random_code(rng)
+            return queue.popleft(), at
+        return int(4 * row[at]), at + 1
 
-    original = config.protocol == ORIGINAL
     for i, row in enumerate(rows, first_round):
-        rng = UniformRow(row)
-        channel = AdversaryChannel(config.strategy)
-        bob_mode = Mode.MM if original else _draw_mode(rng, config.p_cm)
-        alice_mode = _draw_mode(rng, config.p_cm)
-        # a code carries a message iff the other party decodes it
-        policy = POLICY[config.protocol, bob_mode, alice_mode]
-        bob_bits = next_bits(bob_queue, policy.alice_decodes, rng)
-        alice_bits = next_bits(alice_queue, policy.bob_decodes, rng)
-        if original:
-            yield run_round_original(
-                bob_bits,
-                alice_mode,
-                alice_bits,
-                channel,
-                rng,
-                round_id=i,
-                suppress_outcome_reveal=config.suppress_outcome_reveal,
-            )
-        else:
-            yield run_round_modified(
-                bob_mode, bob_bits, alice_mode, alice_bits, channel, rng, round_id=i
-            )
+        try:
+            if original:
+                bob_mode, at = mm, 0
+            else:
+                bob_mode, at = cm if row[0] < p_cm else mm, 1
+            alice_mode = cm if row[at] < p_cm else mm
+            bob_carries, alice_carries = carries[bob_mode, alice_mode]
+            bob_code, at = draw_code(bob_queue, bob_carries, row, at + 1)
+            alice_code, at = draw_code(alice_queue, alice_carries, row, at)
+            if original:
+                t = run_round_original(bob_code, alice_mode, alice_code, strategy, row, at,
+                                       round_id=i, suppress_outcome_reveal=suppress)
+            else:
+                t = run_round_modified(bob_mode, bob_code, alice_mode, alice_code, strategy,
+                                       row, at, round_id=i)
+        except IndexError:
+            raise RowOverdrawError(
+                f"round {i} read past the end of its row of {len(row)} uniforms"
+            ) from None
+        yield t
 
 
 def _contribution(t: RoundTranscript) -> tuple:
@@ -324,14 +308,15 @@ def run_sessions(config: RunConfig) -> tuple[RunSummary, list[RoundTranscript]]:
 # ---------------------------------------------------------------------------
 # text payloads
 
+def _code_positions(text: str) -> list[int]:
+    """The UTF-8 bytes of ``text`` as 2-bit ALL_CODES positions, most
+    significant pair first."""
+    return [(byte >> shift) & 0b11 for byte in text.encode("utf-8") for shift in (6, 4, 2, 0)]
+
+
 def text_to_codes(text: str) -> list[PauliCode]:
     """Pack UTF-8 bytes into 2-bit codes, most significant pair first."""
-    out: list[PauliCode] = []
-    for byte in text.encode("utf-8"):
-        for shift in (6, 4, 2, 0):
-            v = (byte >> shift) & 0b11
-            out.append(PauliCode(v >> 1, v & 1))
-    return out
+    return [ALL_CODES[v] for v in _code_positions(text)]
 
 
 def codes_to_text(codes: Iterable[PauliCode]) -> str:

@@ -27,9 +27,11 @@ its id as ``RoundTranscript.shape``; equal rounds get equal ids (see
 ``ROW_NUMBER``).
 
 Since the shape fixes the announcements, Eve's report, the check and the
-decodes, a round is played only up to its shape id: the channel legs and
-Bob's Bell measurement run, and ``shape_id`` reads the id off the row, the
-two codes, the outcome and ``AdversaryChannel.inferred_alice``.  Its
+decodes, a round is played only up to its shape id, on state ids (see
+``bell_core``): Bob encodes his code on the anchor pair (id 0) with
+``PAULI``, the strategy's forward leg runs (``adversary.LEGS``), Alice
+encodes hers, the return leg runs, and Bob's outcome is ``bell_outcome`` of
+the final state's ``CDF``.  No state object is built or read.  Its
 transcript is ``shaped_transcript(round_id, shape)``, a copy of the shape's
 fields with the round_id set.  The fields are built once per shape, on
 first use, from the id's digits, so the rules above run and a
@@ -42,18 +44,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
-from .adversary import AdversaryChannel, EveReport, replay_report
+from .adversary import LEGS, EveReport, replay_report
 from .bell_core import (
     ALL_CODES,
     ALL_INDICES,
+    CDF,
+    PAULI,
     BellIndex,
     PauliCode,
-    Qubit,
-    UniformSource,
-    apply_pauli,
-    bell_measure,
-    bell_state,
+    bell_outcome,
     decode_bits,
 )
 
@@ -166,6 +167,7 @@ ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, True] = ROW_NUMBER[ORIGINAL, Mode.MM, Mod
 N_SHAPES = len(ROWS) * 4 * 4 * 4 * 5  # see the module docstring
 
 _RECEIPT = Announcement(ALICE, RECEIPT_ACK, None)
+_MM = Mode.MM  # a global read is cheaper than an Enum class attribute
 
 
 def announcements_for(policy: RoundPolicy, values: tuple) -> tuple[Announcement, ...]:
@@ -218,18 +220,13 @@ def cm_check(outcome: BellIndex, bob_code: PauliCode, alice_code: PauliCode) -> 
 
 
 def shape_id(
-    row: int,
-    bob_code: PauliCode,
-    alice_code: PauliCode,
-    outcome: BellIndex,
-    inferred_alice: PauliCode | None,
+    row: int, bob_code: int, alice_code: int, outcome: int, inferred_alice: int | None
 ) -> int:
-    """The shape id of a round on ``ROWS[row]`` (see the module docstring)."""
-    shape = 5 * (((row * 4 + 2 * bob_code.k + bob_code.l) * 4 + 2 * alice_code.k + alice_code.l)
-                 * 4 + 2 * outcome.x + outcome.y)
-    if inferred_alice is None:
-        return shape
-    return shape + 1 + 2 * inferred_alice.k + inferred_alice.l
+    """The shape id of a round on ``ROWS[row]`` (see the module docstring);
+    codes, the outcome and Eve's inference are ALL_CODES / ALL_INDICES
+    positions."""
+    shape = 5 * (((row * 4 + bob_code) * 4 + alice_code) * 4 + outcome)
+    return shape if inferred_alice is None else shape + 1 + inferred_alice
 
 
 # shape id -> the __dict__ of a transcript of that shape, filled on first use:
@@ -280,84 +277,69 @@ def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     return t
 
 
-def _quantum_exchange(
-    bob_bits: PauliCode,
-    alice_bits: PauliCode,
-    channel: AdversaryChannel | None,
-    rng: UniformSource,
-) -> BellIndex:
-    """Run the mode-independent quantum part of a round, return Bob's outcome."""
-    state = bell_state(ALL_INDICES[0])
-    state = apply_pauli(state, bob_bits, Qubit.TRAVEL)
-    if channel is not None:
-        state = channel.on_forward(state, rng)
-    state = apply_pauli(state, alice_bits, Qubit.TRAVEL)
-    if channel is not None:
-        state = channel.on_return(state, rng)
-    outcome, _ = bell_measure(state, rng)
-    return outcome
-
-
 def _run_round(
-    protocol: str,
-    bob_mode: Mode,
-    bob_bits: PauliCode,
-    alice_mode: Mode,
-    alice_bits: PauliCode,
-    channel: AdversaryChannel | None,
-    rng: UniformSource,
+    row: int,
+    bob_code: int,
+    alice_code: int,
+    strategy: str,
+    uniforms: Sequence[float],
+    at: int,
     round_id: int,
-    suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
-    """Play one round of (protocol, bob_mode, alice_mode) as its row of ``ROWS`` says.
+    """Play one round on ``ROWS[row]`` up to its shape id, on state ids.
 
-    The round stops at its shape id and returns ``shaped_transcript``, so
-    its announcements, Eve's report, the check and the decodes are not
-    worked out again for every round.
+    The legs and Bob's Bell measurement read ``uniforms`` from position
+    ``at`` on, in that order; a leg that reads none is handed the next one
+    and ignores it.  An IndexError means the row was too short.
     """
-    row = ROW_NUMBER[protocol, bob_mode, alice_mode, suppress_outcome_reveal]
-    outcome = _quantum_exchange(bob_bits, alice_bits, channel, rng)
-    inferred = None if channel is None else channel.inferred_alice
-    return shaped_transcript(round_id, shape_id(row, bob_bits, alice_bits, outcome, inferred))
+    forward, forward_reads, back, back_reads = LEGS[strategy]
+    state, memory = forward(PAULI[0][bob_code], uniforms[at])  # Bob encodes the anchor pair
+    at += forward_reads
+    state, inferred = back(PAULI[state][alice_code], uniforms[at], memory)
+    outcome = bell_outcome(CDF[state], uniforms[at + back_reads])
+    return shaped_transcript(round_id, shape_id(row, bob_code, alice_code, outcome, inferred))
 
 
 def run_round_original(
-    bob_bits: PauliCode,
+    bob_code: int,
     alice_mode: Mode,
-    alice_bits: PauliCode,
-    channel: AdversaryChannel | None,
-    rng: UniformSource,
+    alice_code: int,
+    strategy: str,
+    uniforms: Sequence[float],
+    at: int = 0,
     *,
     round_id: int = 0,
     suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
     """Execute one round of the original protocol (Bob is always in MM).
 
-    ``alice_bits`` is Alice's message in MM or her sacrificial random bits
-    in CM; ``bob_bits`` is always Bob's payload for the round.  With
+    Codes are ALL_CODES positions.  ``alice_code`` is Alice's message in MM
+    or her sacrificial random bits in CM; ``bob_code`` is always Bob's
+    payload for the round.  The channel plays ``strategy``, and the round's
+    measurements read ``uniforms`` from position ``at`` on.  With
     ``suppress_outcome_reveal`` the outcome still reaches Alice (modelled
     as an out-of-band private reveal) but is omitted from the public
     announcements, which is what an eavesdropper reads.
     """
-    return _run_round(
-        ORIGINAL, Mode.MM, bob_bits, alice_mode, alice_bits, channel, rng, round_id,
-        suppress_outcome_reveal,
-    )
+    row = ROW_NUMBER[ORIGINAL, _MM, alice_mode, suppress_outcome_reveal]
+    return _run_round(row, bob_code, alice_code, strategy, uniforms, at, round_id)
 
 
 def run_round_modified(
     bob_mode: Mode,
-    bob_bits: PauliCode,
+    bob_code: int,
     alice_mode: Mode,
-    alice_bits: PauliCode,
-    channel: AdversaryChannel | None,
-    rng: UniformSource,
+    alice_code: int,
+    strategy: str,
+    uniforms: Sequence[float],
+    at: int = 0,
     *,
     round_id: int = 0,
 ) -> RoundTranscript:
     """Execute one round of the modified dual-mode protocol.
 
-    CM bits for either party are expected to be uniform random (the caller
-    supplies them).
+    Arguments as for ``run_round_original``.  CM codes for either party are
+    expected to be uniform random (the caller supplies them).
     """
-    return _run_round(MODIFIED, bob_mode, bob_bits, alice_mode, alice_bits, channel, rng, round_id)
+    row = ROW_NUMBER[MODIFIED, bob_mode, alice_mode, False]
+    return _run_round(row, bob_code, alice_code, strategy, uniforms, at, round_id)

@@ -220,7 +220,8 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
     kind = f"{protocol} round with modes bob={bob_mode.value}, alice={alice_mode.value}"
     # an original round may have kept its outcome reveal off the public channel
     keys = [(protocol, bob_mode, alice_mode, suppressed) for suppressed in (False, True)]
-    rows = [ROW_NUMBER[key] for key in keys if key in ROW_NUMBER]
+    # without an outcome reveal to suppress, both keys name one row
+    rows = list(dict.fromkeys(ROW_NUMBER[key] for key in keys if key in ROW_NUMBER))
     if not rows:
         raise TranscriptFormatError(f"modes.bob: there is no {kind}")
     values = (bob_mode, alice_mode, bob_code, alice_code, outcome)
@@ -232,8 +233,10 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
         )
     eve = _eve_from_record(_get(rec, "eve", ""), announcements)
     row = rows[sequences.index(announcements)]
-    inferred = None if eve is None else eve.inferred_alice
-    t = shaped_transcript(round_id, shape_id(row, bob_code, alice_code, outcome, inferred))
+    inferred = None if eve is None else ALL_CODES.index(eve.inferred_alice)
+    shape = shape_id(row, ALL_CODES.index(bob_code), ALL_CODES.index(alice_code),
+                     ALL_INDICES.index(outcome), inferred)
+    t = shaped_transcript(round_id, shape)
     if check_performed is not t.check_performed:
         raise TranscriptFormatError(
             f"check.check_performed must be {json.dumps(t.check_performed)} for a {kind}, "

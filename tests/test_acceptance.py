@@ -14,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import BIT_PAIRS, U_ORACLE, oracle_bell
+from conftest import BIT_PAIRS, U_ORACLE, oracle_bell, uniforms
 
-from qdialogue import adversary as adversary_mod
-from qdialogue.adversary import BELL_SUBSTITUTION, STRATEGIES, AdversaryChannel
+from qdialogue.adversary import BELL_SUBSTITUTION, NONE, STRATEGIES
 from qdialogue.bell_core import (
     ALL_CODES,
     ALL_INDICES,
@@ -86,14 +85,11 @@ def test_criterion_1_honest_completeness_original():
     with criterion(1, "original protocol honest completeness, exhaustive and exact"):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                rng = np.random.default_rng(0)
-                mm = run_round_original(PauliCode(k, l), Mode.MM, PauliCode(i, j), None, rng)
+                mm = run_round_original(2 * k + l, Mode.MM, 2 * i + j, NONE, uniforms(0))
                 assert mm.outcome == BellIndex(k ^ i, l ^ j)
                 assert mm.bob_decoded == PauliCode(i, j)
                 assert mm.alice_decoded == PauliCode(k, l)
-                cm = run_round_original(
-                    PauliCode(k, l), Mode.CM, PauliCode(i, j), None, np.random.default_rng(0)
-                )
+                cm = run_round_original(2 * k + l, Mode.CM, 2 * i + j, NONE, uniforms(0))
                 assert cm.outcome == BellIndex(k ^ i, l ^ j)
                 assert cm.check_passed is True
 
@@ -106,11 +102,11 @@ def test_criterion_2_honest_completeness_modified():
                     for i, j in BIT_PAIRS:
                         t = run_round_modified(
                             bob_mode,
-                            PauliCode(k, l),
+                            2 * k + l,
                             alice_mode,
-                            PauliCode(i, j),
-                            None,
-                            np.random.default_rng(0),
+                            2 * i + j,
+                            NONE,
+                            uniforms(0),
                         )
                         assert t.outcome == BellIndex(k ^ i, l ^ j)
                         kinds = [a.kind for a in t.announcements]
@@ -131,23 +127,15 @@ def test_criterion_2_honest_completeness_modified():
 
 def test_criterion_3_replay_attack_reproduction(mc):
     with criterion(3, "replay attack: Eve exact on Alice, detection exactly 0"):
-        # exhaustive over all 64 (bob, eve, alice) combinations
-        with pytest.MonkeyPatch.context() as mp:
-            for k, l in BIT_PAIRS:
-                for ek, el in BIT_PAIRS:
-                    for i, j in BIT_PAIRS:
-                        mp.setattr(
-                            adversary_mod, "random_code", lambda rng, c=PauliCode(ek, el): c
-                        )
-                        t = run_round_original(
-                            PauliCode(k, l),
-                            Mode.CM,
-                            PauliCode(i, j),
-                            AdversaryChannel(BELL_SUBSTITUTION),
-                            np.random.default_rng(1),
-                        )
-                        assert t.eve_report.inferred_alice == PauliCode(i, j)
-                        assert t.check_passed is True
+        # exhaustive over all 64 (bob, eve, alice) combinations; Eve's
+        # code ALL_CODES[floor(4u)] is the first uniform the channel reads
+        for k, l in BIT_PAIRS:
+            for ek, el in BIT_PAIRS:
+                for i, j in BIT_PAIRS:
+                    row = [(2 * ek + el + 0.5) / 4, *uniforms(1)]
+                    t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, BELL_SUBSTITUTION, row)
+                    assert t.eve_report.inferred_alice == PauliCode(i, j)
+                    assert t.check_passed is True
 
         # Monte Carlo at 1e5 rounds: both rates are exact, not approximate
         summary = mc(ORIGINAL, BELL_SUBSTITUTION)

@@ -9,9 +9,8 @@ two-pair representation inside the package is exact.
 
 import numpy as np
 import pytest
-from conftest import BIT_PAIRS, U_ORACLE, on_travel, oracle_bell
+from conftest import BIT_PAIRS, U_ORACLE, on_travel, oracle_bell, uniforms
 
-from qdialogue import adversary as adversary_mod
 from qdialogue.adversary import (
     BELL_SUBSTITUTION,
     DISTURBANCE,
@@ -21,10 +20,14 @@ from qdialogue.adversary import (
     ProtocolOrderError,
 )
 from qdialogue.bell_core import (
+    ALL_CODES,
+    REACHABLE,
     BellIndex,
     PauliCode,
     Qubit,
+    TwoQubitState,
     apply_pauli,
+    bell_measure,
     bell_state,
     overlap,
 )
@@ -37,7 +40,21 @@ from qdialogue.protocol import (
     Mode,
     run_round_original,
 )
-from qdialogue.harness import transcript_to_line
+
+
+class FixedRng:
+    """A stand-in generator whose every draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def code_uniform(k: int, l: int) -> float:
+    """A uniform that draws the code (k, l): ALL_CODES[floor(4u)]."""
+    return (2 * k + l + 0.5) / 4
 
 
 def joint_replay_oracle(bob, eve_code, alice):
@@ -75,18 +92,14 @@ def joint_replay_oracle(bob, eve_code, alice):
 class TestTransparency:
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_none_strategy_matches_bare_channel(self, seed):
+        # the same exchange on states with no channel in between
+        encoded = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 0), Qubit.TRAVEL)
+        encoded = apply_pauli(encoded, PauliCode(0, 1), Qubit.TRAVEL)
+        bare, _ = bell_measure(encoded, np.random.default_rng(seed))
         for mode in (Mode.MM, Mode.CM):
-            bare = run_round_original(
-                PauliCode(1, 0), mode, PauliCode(0, 1), None, np.random.default_rng(seed)
-            )
-            wrapped = run_round_original(
-                PauliCode(1, 0),
-                mode,
-                PauliCode(0, 1),
-                AdversaryChannel(NONE),
-                np.random.default_rng(seed),
-            )
-            assert transcript_to_line(bare) == transcript_to_line(wrapped)
+            t = run_round_original(2, mode, 1, NONE, uniforms(seed))
+            assert t.outcome == bare
+            assert t.eve_report is None
 
     def test_forward_and_return_leave_state_alone(self):
         channel = AdversaryChannel(NONE)
@@ -97,22 +110,21 @@ class TestTransparency:
 
 
 class TestBellSubstitution:
-    def test_forward_hands_alice_eves_pair(self, monkeypatch):
-        monkeypatch.setattr(adversary_mod, "random_code", lambda rng: PauliCode(1, 1))
+    def test_forward_hands_alice_eves_pair(self):
         channel = AdversaryChannel(BELL_SUBSTITUTION)
         world = bell_state(BellIndex(0, 1))
-        handed = channel.on_forward(world, np.random.default_rng(0))
+        handed = channel.on_forward(world, FixedRng(code_uniform(1, 1)))
         np.testing.assert_allclose(handed.amps, bell_state(BellIndex(1, 1)).amps, atol=1e-12)
-        assert channel.stored_bob_pair is world
-        assert channel.eve_code == PauliCode(1, 1)
+        stored_bob_pair, eve_code = channel.memory
+        assert REACHABLE[stored_bob_pair] is world
+        assert ALL_CODES[eve_code] == PauliCode(1, 1)
 
-    def test_return_example(self, monkeypatch):
+    def test_return_example(self):
         # Eve's pair (1,0), Alice applies (0,1): Eve infers (0,1) and Bob
         # receives his own pair shifted by exactly that code.
-        monkeypatch.setattr(adversary_mod, "random_code", lambda rng: PauliCode(1, 0))
         for k, l in BIT_PAIRS:
             channel = AdversaryChannel(BELL_SUBSTITUTION)
-            rng = np.random.default_rng(5)
+            rng = FixedRng(code_uniform(1, 0))
             handed = channel.on_forward(bell_state(BellIndex(k, l)), rng)
             encoded = apply_pauli(handed, PauliCode(0, 1), Qubit.TRAVEL)
             delivered = channel.on_return(encoded, rng)
@@ -120,23 +132,15 @@ class TestBellSubstitution:
             inner = overlap(bell_state(BellIndex(k, l ^ 1)), delivered)
             assert abs(abs(inner) - 1.0) <= 1e-9
 
-    def test_exhaustive_inference_and_invisibility(self, monkeypatch):
+    def test_exhaustive_inference_and_invisibility(self):
         # all 64 (bob, eve, alice) combinations, no sampling: the inference
         # is always right and the checking round can never fail
         for k, l in BIT_PAIRS:
             for ek, el in BIT_PAIRS:
                 for i, j in BIT_PAIRS:
-                    monkeypatch.setattr(
-                        adversary_mod, "random_code", lambda rng, c=PauliCode(ek, el): c
-                    )
-                    channel = AdversaryChannel(BELL_SUBSTITUTION)
-                    t = run_round_original(
-                        PauliCode(k, l),
-                        Mode.CM,
-                        PauliCode(i, j),
-                        channel,
-                        np.random.default_rng(1),
-                    )
+                    # Eve's code is the first uniform the channel reads
+                    row = [code_uniform(ek, el), *uniforms(1)]
+                    t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, BELL_SUBSTITUTION, row)
                     assert t.eve_report.inferred_alice == PauliCode(i, j)
                     assert t.outcome == BellIndex(k ^ i, l ^ j)
                     assert t.check_passed is True
@@ -153,31 +157,25 @@ class TestBellSubstitution:
                     honest = (bob[0] ^ alice[0], bob[1] ^ alice[1])
                     assert final[honest] == pytest.approx(1.0, abs=1e-9)
 
-    def test_state_is_confined_to_the_legs(self, monkeypatch):
-        monkeypatch.setattr(adversary_mod, "random_code", lambda rng: PauliCode(0, 1))
+    def test_state_is_confined_to_the_legs(self):
         channel = AdversaryChannel(BELL_SUBSTITUTION)
-        rng = np.random.default_rng(2)
+        rng = FixedRng(code_uniform(0, 1))
         handed = channel.on_forward(bell_state(BellIndex(0, 0)), rng)
-        assert channel.stored_bob_pair is not None
+        assert channel.memory is not None
         encoded = apply_pauli(handed, PauliCode(1, 1), Qubit.TRAVEL)
         channel.on_return(encoded, rng)
-        assert channel.stored_bob_pair is None
+        assert channel.memory is None
         assert channel.inferred_alice == PauliCode(1, 1)
 
 
 class TestDisturbance:
     @pytest.mark.parametrize("code", [PauliCode(a, b) for a, b in BIT_PAIRS])
-    def test_check_passes_iff_identity_code(self, code, monkeypatch):
-        monkeypatch.setattr(adversary_mod, "random_code", lambda rng: code)
+    def test_check_passes_iff_identity_code(self, code):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                t = run_round_original(
-                    PauliCode(k, l),
-                    Mode.CM,
-                    PauliCode(i, j),
-                    AdversaryChannel(DISTURBANCE),
-                    np.random.default_rng(3),
-                )
+                # Eve's code is the first uniform the channel reads
+                row = [code_uniform(code.k, code.l), *uniforms(3)]
+                t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, DISTURBANCE, row)
                 assert t.outcome == BellIndex(k ^ i ^ code.k, l ^ j ^ code.l)
                 assert t.check_passed is (code == PauliCode(0, 0))
 
@@ -258,6 +256,12 @@ class TestChannelOrdering:
         channel.on_forward(bell_state(BellIndex(0, 0)), rng)
         with pytest.raises(ProtocolOrderError):
             channel.on_forward(bell_state(BellIndex(0, 0)), rng)
+
+    def test_a_state_off_the_tables_is_rejected(self):
+        channel = AdversaryChannel(NONE)
+        off_table = TwoQubitState(np.array([1, 1, 1, 1]) / 2)
+        with pytest.raises(ValueError, match="REACHABLE"):
+            channel.on_forward(off_table, np.random.default_rng(0))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):

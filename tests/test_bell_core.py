@@ -369,24 +369,32 @@ class TestStepTables:
     """The step tables built at import: closed, exact, and never written again."""
 
     def test_every_entry_matches_the_matrix_oracle(self):
-        for state in REACHABLE:
-            assert len(bell_core._PAULI[state]) == len(ALL_CODES)
+        for sid, state in enumerate(REACHABLE):
+            assert len(bell_core.PAULI[sid]) == len(ALL_CODES)
             for code in ALL_CODES:
-                image = bell_core._PAULI[state][2 * code.k + code.l]
-                assert image in REACHABLE  # states compare by identity
+                image = REACHABLE[bell_core.PAULI[sid][2 * code.k + code.l]]
                 expected = on_travel(U_ORACLE[(code.k, code.l)]) @ state.amps
                 np.testing.assert_allclose(image.amps, expected, atol=1e-12)
             probs = [abs(np.vdot(oracle_bell(x, y), state.amps)) ** 2 for x, y in BIT_PAIRS]
-            np.testing.assert_allclose(bell_core._CDF[state], np.cumsum(probs), atol=1e-12)
-            p_one, *collapses = bell_core._COMPUTATIONAL[(state, Qubit.TRAVEL)]
+            np.testing.assert_allclose(bell_core.CDF[sid], np.cumsum(probs), atol=1e-12)
+            p_one, *collapses = bell_core.TAP[sid]
             assert p_one == pytest.approx(np.sum(np.abs(state.amps[TRAVEL_BIT == 1]) ** 2))
             for bit, post in enumerate(collapses):
                 kept = np.where(TRAVEL_BIT == bit, state.amps, 0)
                 if np.vdot(kept, kept).real <= NORM_ATOL:
                     assert post is None
                 else:
-                    assert post in REACHABLE
-                    np.testing.assert_allclose(post.amps, kept / np.linalg.norm(kept), atol=1e-12)
+                    np.testing.assert_allclose(
+                        REACHABLE[post].amps, kept / np.linalg.norm(kept), atol=1e-12
+                    )
+
+    def test_ids_are_reachable_positions_with_the_bell_states_first(self):
+        # the round engine encodes on id 0 and hands Eve's Bell pair over as
+        # the id of her code, so the Bell states must be ids 0-3 in order
+        assert REACHABLE[:4] == tuple(bell_state(idx) for idx in ALL_INDICES)
+        assert [bell_core.STATE_ID[state] for state in REACHABLE] == list(range(len(REACHABLE)))
+        amplitudes = {state.amps.tobytes() for state in REACHABLE}
+        assert len(amplitudes) == len(REACHABLE)
 
     def test_off_table_copies_give_the_tabulated_bytes(self):
         # the tables and the off-table path share one implementation of each step
@@ -421,8 +429,11 @@ class TestStepTables:
         assert len(REACHABLE) == 24
 
     def test_off_table_steps_leave_the_tables_unchanged(self):
-        tables = (bell_core._PAULI, bell_core._CDF, bell_core._COMPUTATIONAL)
-        before = [dict(table) for table in tables]
+        def tables():
+            return (REACHABLE, bell_core.PAULI, bell_core.CDF, bell_core.TAP,
+                    dict(bell_core.STATE_ID))
+
+        before = tables()
         rng = np.random.default_rng(8)
         for _ in range(200):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -435,4 +446,4 @@ class TestStepTables:
         for state in REACHABLE:
             apply_pauli(state, ALL_CODES[2], Qubit.HOME)
             measure_computational(state, Qubit.HOME, rng)
-        assert [dict(table) for table in tables] == before
+        assert tables() == before

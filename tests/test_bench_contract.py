@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from qdialogue import cli
+from qdialogue.adversary import STRATEGIES
 from qdialogue.protocol import PROTOCOLS
 
 ROUNDS = 200
@@ -28,11 +29,12 @@ def load_tracing():
     return module
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("with_output", [False, True])
-def test_tracer_sees_every_round_once(protocol, with_output, tmp_path):
+def test_tracer_sees_every_round_once(strategy, protocol, with_output, tmp_path):
     tracer = load_tracing().Tracer()
-    argv = ["run", "--protocol", protocol, "--attack", "bell-substitution",
+    argv = ["run", "--protocol", protocol, "--attack", strategy,
             "--rounds", str(ROUNDS), "--format", "records"]
     if with_output:
         argv += ["--output", str(tmp_path / "rounds.jsonl")]

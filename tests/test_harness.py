@@ -23,7 +23,6 @@ from qdialogue.harness import (
     ConfigurationError,
     RowOverdrawError,
     RunConfig,
-    UniformRow,
     codes_to_text,
     delivered_codes,
     exact_oracle,
@@ -198,19 +197,11 @@ class TestUniformStream:
     def test_empty_row_range_is_empty(self):
         assert list(uniform_rows(0, 5, 5)) == []
 
-    def test_cursor_hands_out_the_row_in_order_then_raises(self):
-        row = [i / ROW_WIDTH for i in range(ROW_WIDTH)]
-        cursor = UniformRow(row)
-        assert [cursor.random() for _ in range(ROW_WIDTH)] == row
-        for _ in range(2):  # and on every later draw
-            with pytest.raises(RowOverdrawError, match=f"more than {ROW_WIDTH} uniforms"):
-                cursor.random()
-
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("p_cm", [0.0, 0.5, 1.0])
     def test_every_round_fits_in_a_row(self, protocol, strategy, p_cm):
-        # iter_rounds hands each round a ROW_WIDTH cursor, which raises on overdraw
+        # iter_rounds hands each round a ROW_WIDTH row, and reading past it raises
         config = RunConfig(protocol=protocol, strategy=strategy, rounds=300, p_cm=p_cm, seed=1)
         assert summarize(iter_rounds(config)).rounds_total == 300
 

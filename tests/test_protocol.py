@@ -10,12 +10,11 @@ import inspect
 import pickle
 from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
 
-import numpy as np
 import pytest
-from conftest import BIT_PAIRS
+from conftest import BIT_PAIRS, uniforms
 
 from qdialogue import protocol as protocol_mod
-from qdialogue.adversary import EveReport
+from qdialogue.adversary import LEGS, NONE, STRATEGIES, EveReport
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.protocol import (
     ALICE,
@@ -54,9 +53,7 @@ class TestHonestCompletenessOriginal:
     def test_message_mode_exhaustive(self):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                t = run_round_original(
-                    PauliCode(k, l), Mode.MM, PauliCode(i, j), None, np.random.default_rng(0)
-                )
+                t = run_round_original(2 * k + l, Mode.MM, 2 * i + j, NONE, uniforms(0))
                 assert t.outcome == BellIndex(k ^ i, l ^ j)
                 assert t.bob_decoded == PauliCode(i, j)
                 assert t.alice_decoded == PauliCode(k, l)
@@ -65,9 +62,7 @@ class TestHonestCompletenessOriginal:
     def test_checking_mode_exhaustive(self):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                t = run_round_original(
-                    PauliCode(k, l), Mode.CM, PauliCode(i, j), None, np.random.default_rng(0)
-                )
+                t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, NONE, uniforms(0))
                 assert t.outcome == BellIndex(k ^ i, l ^ j)
                 assert t.check_performed and t.check_passed is True
                 assert t.bob_decoded is None and t.alice_decoded is None
@@ -81,11 +76,11 @@ class TestHonestCompletenessModified:
                     for i, j in BIT_PAIRS:
                         t = run_round_modified(
                             bob_mode,
-                            PauliCode(k, l),
+                            2 * k + l,
                             alice_mode,
-                            PauliCode(i, j),
-                            None,
-                            np.random.default_rng(0),
+                            2 * i + j,
+                            NONE,
+                            uniforms(0),
                         )
                         assert t.outcome == BellIndex(k ^ i, l ^ j)
                         if bob_mode is Mode.CM and alice_mode is Mode.CM:
@@ -104,38 +99,28 @@ class TestHonestCompletenessModified:
 
 class TestRoundExamples:
     def test_original_mm_example(self):
-        t = run_round_original(
-            PauliCode(1, 1), Mode.MM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_original(3, Mode.MM, 1, NONE, uniforms(0))
         assert t.outcome == BellIndex(1, 0)
         assert t.bob_decoded == PauliCode(0, 1)
         assert t.alice_decoded == PauliCode(1, 1)
 
     def test_original_cm_identity_example(self):
-        t = run_round_original(
-            PauliCode(0, 0), Mode.CM, PauliCode(0, 0), None, np.random.default_rng(0)
-        )
+        t = run_round_original(0, Mode.CM, 0, NONE, uniforms(0))
         assert t.outcome == BellIndex(0, 0)
         assert t.check_passed is True
 
     def test_modified_cm_cm_example(self):
-        t = run_round_modified(
-            Mode.CM, PauliCode(1, 0), Mode.CM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.CM, 2, Mode.CM, 1, NONE, uniforms(0))
         assert t.outcome == BellIndex(1, 1)
         assert t.check_passed is True
 
     def test_modified_one_way_to_bob_example(self):
-        t = run_round_modified(
-            Mode.CM, PauliCode(0, 1), Mode.MM, PauliCode(1, 0), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.CM, 1, Mode.MM, 2, NONE, uniforms(0))
         assert t.bob_decoded == PauliCode(1, 0)
         assert OUTCOME_REVEAL not in kinds(t)
 
     def test_modified_mm_mm_all_zero(self):
-        t = run_round_modified(
-            Mode.MM, PauliCode(0, 0), Mode.MM, PauliCode(0, 0), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.MM, 0, Mode.MM, 0, NONE, uniforms(0))
         assert t.outcome == BellIndex(0, 0)
         assert t.bob_decoded == PauliCode(0, 0)
         assert t.alice_decoded == PauliCode(0, 0)
@@ -143,38 +128,32 @@ class TestRoundExamples:
 
 class TestAnnouncementDiscipline:
     def test_original_mm_sequence(self):
-        t = run_round_original(
-            PauliCode(1, 0), Mode.MM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_original(2, Mode.MM, 1, NONE, uniforms(0))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, OUTCOME_REVEAL]
         assert t.announcements[1].payload is Mode.MM
         assert t.announcements[2].speaker == BOB
         assert t.announcements[2].payload == t.outcome
 
     def test_original_cm_sequence(self):
-        t = run_round_original(
-            PauliCode(1, 0), Mode.CM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_original(2, Mode.CM, 1, NONE, uniforms(0))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, OP_REVEAL]
         assert t.announcements[2].speaker == ALICE
         assert t.announcements[2].payload == PauliCode(0, 1)
 
     def test_suppressed_outcome_reveal_still_decodes(self):
         t = run_round_original(
-            PauliCode(1, 0),
+            2,
             Mode.MM,
-            PauliCode(0, 1),
-            None,
-            np.random.default_rng(0),
+            1,
+            NONE,
+            uniforms(0),
             suppress_outcome_reveal=True,
         )
         assert OUTCOME_REVEAL not in kinds(t)
         assert t.alice_decoded == PauliCode(1, 0)
 
     def test_modified_cm_cm_sequence(self):
-        t = run_round_modified(
-            Mode.CM, PauliCode(1, 0), Mode.CM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.CM, 2, Mode.CM, 1, NONE, uniforms(0))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL, OP_REVEAL, OP_REVEAL, OUTCOME_REVEAL]
         # Alice's op-reveal comes before any of Bob's reveals
         speakers = [(a.kind, a.speaker) for a in t.announcements[3:]]
@@ -183,71 +162,78 @@ class TestAnnouncementDiscipline:
         assert speakers[2] == (OUTCOME_REVEAL, BOB)
 
     def test_modified_modes_revealed_after_measurement(self):
-        t = run_round_modified(
-            Mode.MM, PauliCode(0, 0), Mode.MM, PauliCode(0, 0), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.MM, 0, Mode.MM, 0, NONE, uniforms(0))
         assert kinds(t)[:3] == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL]
         assert [a.speaker for a in t.announcements[1:3]] == [BOB, ALICE]
 
     def test_modified_one_way_to_bob_reveals_nothing_extra(self):
-        t = run_round_modified(
-            Mode.CM, PauliCode(1, 1), Mode.MM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.CM, 3, Mode.MM, 1, NONE, uniforms(0))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL]
 
     def test_modified_one_way_to_alice_reveals_outcome_only(self):
-        t = run_round_modified(
-            Mode.MM, PauliCode(1, 1), Mode.CM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.MM, 3, Mode.CM, 1, NONE, uniforms(0))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL, OUTCOME_REVEAL]
         assert OP_REVEAL not in kinds(t)
 
 
 class TestModeIndependence:
-    def _trace(self, run, monkeypatch):
-        """Record every state produced during a round, byte for byte."""
+    def _trace(self, run, strategy, monkeypatch):
+        """Record every state id, uniform and result of the round's channel
+        legs and Bob's Bell measurement."""
         recorded = []
-        real_apply = protocol_mod.apply_pauli
-        real_measure = protocol_mod.bell_measure
+        forward, forward_reads, back, back_reads = LEGS[strategy]
+        real_outcome = protocol_mod.bell_outcome
 
-        def spy_apply(state, code, target):
-            out = real_apply(state, code, target)
-            recorded.append(out.amps.tobytes())
+        def spy_forward(state, u):
+            out = forward(state, u)
+            recorded.append(("forward", state, u, out))
             return out
 
-        def spy_measure(state, rng):
-            recorded.append(state.amps.tobytes())
-            return real_measure(state, rng)
+        def spy_back(state, u, memory):
+            out = back(state, u, memory)
+            recorded.append(("back", state, u, memory, out))
+            return out
 
-        monkeypatch.setattr(protocol_mod, "apply_pauli", spy_apply)
-        monkeypatch.setattr(protocol_mod, "bell_measure", spy_measure)
+        def spy_outcome(cdf, u):
+            out = real_outcome(cdf, u)
+            recorded.append(("bell", cdf, u, out))
+            return out
+
+        monkeypatch.setitem(LEGS, strategy, (spy_forward, forward_reads, spy_back, back_reads))
+        monkeypatch.setattr(protocol_mod, "bell_outcome", spy_outcome)
         transcript = run()
         monkeypatch.undo()
         return recorded, transcript
 
     def test_original_trace_ignores_mode(self, monkeypatch):
-        bob, alice = PauliCode(1, 0), PauliCode(0, 1)
-        traces = {}
-        for mode in ALL_MODES:
-            traces[mode], _ = self._trace(
-                lambda m=mode: run_round_original(bob, m, alice, None, np.random.default_rng(17)),
-                monkeypatch,
-            )
-        assert traces[Mode.MM] == traces[Mode.CM]
-
-    def test_modified_trace_ignores_modes(self, monkeypatch):
-        bob, alice = PauliCode(1, 1), PauliCode(1, 0)
-        traces = []
-        for bob_mode in ALL_MODES:
-            for alice_mode in ALL_MODES:
-                trace, _ = self._trace(
-                    lambda bm=bob_mode, am=alice_mode: run_round_modified(
-                        bm, bob, am, alice, None, np.random.default_rng(23)
-                    ),
+        bob, alice = 2, 1
+        for strategy in STRATEGIES:
+            traces = {}
+            for mode in ALL_MODES:
+                traces[mode], _ = self._trace(
+                    lambda m=mode: run_round_original(bob, m, alice, strategy, uniforms(17)),
+                    strategy,
                     monkeypatch,
                 )
-                traces.append(trace)
-        assert all(t == traces[0] for t in traces)
+            assert len(traces[Mode.MM]) == 3
+            assert traces[Mode.MM] == traces[Mode.CM], strategy
+
+    def test_modified_trace_ignores_modes(self, monkeypatch):
+        bob, alice = 3, 2
+        for strategy in STRATEGIES:
+            traces = []
+            for bob_mode in ALL_MODES:
+                for alice_mode in ALL_MODES:
+                    trace, _ = self._trace(
+                        lambda bm=bob_mode, am=alice_mode: run_round_modified(
+                            bm, bob, am, alice, strategy, uniforms(23)
+                        ),
+                        strategy,
+                        monkeypatch,
+                    )
+                    traces.append(trace)
+            assert len(traces[0]) == 3
+            assert all(t == traces[0] for t in traces), strategy
 
 
 class TestTranscriptInvariants:
@@ -351,9 +337,7 @@ class TestTranscriptConstructor:
                 twin.round_id = 8
 
     def test_shape_is_not_a_field(self):
-        t = run_round_modified(
-            Mode.MM, PauliCode(1, 0), Mode.CM, PauliCode(0, 1), None, np.random.default_rng(0)
-        )
+        t = run_round_modified(Mode.MM, 2, Mode.CM, 1, NONE, uniforms(0))
         plain = replace(t)  # through __init__, which knows no shape
         assert t.shape is not None and plain.shape is None
         assert "shape" not in [f.name for f in fields(t)]

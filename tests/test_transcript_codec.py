@@ -565,6 +565,26 @@ class TestPolicyInvariants:
         with pytest.raises(TranscriptFormatError, match=r"^announcements must be"):
             parse_transcript_line(dumps(rec))
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("p_cm", [0.0, 1.0])
+    def test_the_rejection_names_each_allowed_sequence_once(self, protocol, p_cm):
+        def described(announcements):
+            return "[" + ", ".join(f"{a['speaker']} {a['kind']}" for a in announcements) + "]"
+
+        rec = first_record(protocol, p_cm, strategy="none")
+        announcements = rec["announcements"]
+        allowed = [described(announcements)]
+        if protocol == ORIGINAL and p_cm == 0.0:  # a message round may drop its outcome reveal
+            allowed.append(described(announcements[:2]))
+        rec["announcements"] = announcements[:1]
+        modes = rec["modes"]
+        with pytest.raises(TranscriptFormatError) as raised:
+            parse_transcript_line(dumps(rec))
+        assert str(raised.value) == (
+            f"announcements must be {' or '.join(allowed)} for a {protocol} round with modes "
+            f"bob={modes['bob']}, alice={modes['alice']}, got [alice receipt-ack]"
+        )
+
     def test_original_message_round_may_suppress_the_outcome_reveal(self):
         rec = first_record(ORIGINAL, p_cm=0.0, suppress=True)
         assert [a["kind"] for a in rec["announcements"]] == ["receipt-ack", "mode-reveal"]
