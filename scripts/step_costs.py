@@ -13,6 +13,10 @@ change.  This script times each step bare, best of five runs:
   summarize          ``summarize`` over a batch, per transcript
   summarize 10k      ``summarize`` over an iterator of one 10,000-round run,
                      per transcript: a run has few shapes for its rounds
+  write 10k          ``write_transcripts`` of the same run into an
+                     ``io.StringIO``, per transcript: a line each, written in
+                     blocks
+  cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
                      on a fixed batch of rows: the row reads, the channel
@@ -28,11 +32,13 @@ rows of seed 1's stream with p_cm 0.5.
 
 from __future__ import annotations
 
+import io
 import timeit
 from collections import deque
 from dataclasses import fields
 from itertools import starmap
 
+from qdialogue import cli
 from qdialogue.adversary import BELL_SUBSTITUTION, NONE
 from qdialogue.harness import (
     RunConfig,
@@ -42,6 +48,7 @@ from qdialogue.harness import (
     summarize,
     transcript_to_line,
     uniform_rows,
+    write_transcripts,
 )
 from qdialogue.protocol import MODIFIED, PROTOCOLS, RoundTranscript, shaped_transcript
 
@@ -66,6 +73,9 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
     values = [tuple(getattr(t, f.name) for f in fields(t)) for t in batch]
     shapes = [(t.round_id, t.shape) for t in batch]
     rows = list(uniform_rows(1, 0, BATCH))
+    parser = cli._parser()
+    argvs = [["run", "--protocol", MODIFIED, "--attack", STRATEGY, "--rounds", str(LONG_RUN),
+              "--seed", "1", "--format", "records"]] * BATCH
 
     def engine_round(protocol: str, strategy: str):
         config = RunConfig(protocol=protocol, strategy=strategy, p_cm=0.5)
@@ -79,6 +89,8 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("to_line hit", lambda: _drain(map(transcript_to_line, batch)), BATCH),
         ("summarize", lambda: summarize(batch), BATCH),
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
+        ("write 10k", lambda: write_transcripts(long_run, io.StringIO()), LONG_RUN),
+        ("cli parse", lambda: _drain(map(parser.parse_args, argvs)), BATCH),
         *(engine_round(p, s) for p in PROTOCOLS for s in (NONE, BELL_SUBSTITUTION)),
     ]
     results = []

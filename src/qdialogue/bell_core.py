@@ -25,7 +25,8 @@ filled once at import from the amplitude helpers below:
     PAULI[s][2k + l]   the id of U_kl applied to the travel qubit of s
     CDF[s]             the Bell-outcome CDF of s, in ALL_INDICES order
     TAP[s]             (P(travel bit = 1), id on 0, id on 1), None for a
-                       bit of probability 0
+                       bit of probability 0, whose P(1) is then exactly
+                       0.0 or 1.0, so that no uniform draws it
 
 The round engine composes these ids directly.  The ``TwoQubitState``
 functions read the same tables through ``STATE_ID`` (state -> id, an
@@ -233,7 +234,12 @@ def bell_measure(
 
 
 def _p_one(state: TwoQubitState, target: Qubit) -> float:
-    return float((np.abs(state.amps) ** 2)[_BIT_OF[target] == 1].sum())
+    """P(target bit = 1), exactly 0.0 or 1.0 where a bit has probability 0
+    (within NORM_ATOL), so that no uniform in [0, 1) draws that bit."""
+    p_one = float((np.abs(state.amps) ** 2)[_BIT_OF[target] == 1].sum())
+    if p_one <= NORM_ATOL:
+        return 0.0
+    return 1.0 if p_one >= 1.0 - NORM_ATOL else p_one
 
 
 def _collapse(state: TwoQubitState, target: Qubit, bit: int, p_bit: float) -> TwoQubitState:
@@ -260,7 +266,7 @@ def measure_computational(
     bit, post = tap_outcome(entry, rng.random())
     if post is not None:
         return bit, REACHABLE[post]
-    # a bit of probability 0 has no tabulated collapse; computing it raises
+    # a state off the tables, collapsed on the drawn bit, whose P is nonzero
     return bit, _collapse(state, target, bit, entry[0] if bit else 1.0 - entry[0])
 
 
@@ -310,7 +316,7 @@ def _tabulate() -> tuple[tuple, ...]:
         cdf.append(_bell_cdf(state))
         p_one = _p_one(state, Qubit.TRAVEL)
         tap.append((p_one,) + tuple(
-            intern(_collapse(state, Qubit.TRAVEL, bit, p_bit)) if p_bit > NORM_ATOL else None
+            intern(_collapse(state, Qubit.TRAVEL, bit, p_bit)) if p_bit else None
             for bit, p_bit in enumerate((1.0 - p_one, p_one))
         ))
     return tuple(states), tuple(pauli), tuple(cdf), tuple(tap)

@@ -10,7 +10,8 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from functools import cache
 from typing import IO, Iterator
 
 from .adversary import STRATEGIES
@@ -124,8 +125,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     # one streaming pass: no round outlives its summary update and its line
     if args.output:
         try:
-            with _replaced_on_success(args.output) as sink:
-                summary = summarize(tee_transcripts(iter_rounds(config), sink))
+            # the tee is closed, and its last block written, while the sink is open
+            with _replaced_on_success(args.output) as sink, \
+                    closing(tee_transcripts(iter_rounds(config), sink)) as rounds:
+                summary = summarize(rounds)
         except OSError as exc:
             # strerror alone: the exception's file name may be the temp file's
             print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
@@ -225,10 +228,15 @@ def cmd_dialogue(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -26,7 +26,9 @@ finitely many discrete branches of each strategy with exact rational
 weights, so the two routes to every probability are independent.
 
 Transcripts are written one JSON line per round by ``tee_transcripts`` and
-``write_transcripts``; the line format and its codec live in
+``write_transcripts``.  The lines reach the sink in blocks of
+``LINES_PER_WRITE``, one ``write`` call each, and all of them are there once
+the tee is exhausted or closed.  The line format and its codec live in
 ``transcript_codec``, from which this module re-exports
 ``TranscriptFormatError``, ``parse_transcript_line`` and ``transcript_to_line``.
 """
@@ -38,6 +40,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from numbers import Real
 from operator import mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -50,6 +53,8 @@ from .protocol import (
     ORIGINAL,
     POLICY,
     PROTOCOLS,
+    ROW_NUMBER,
+    ROWS,
     Mode,
     RoundTranscript,
     run_round_modified,
@@ -163,8 +168,8 @@ def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
     bit_generator = np.random.PCG64(seed)
     bit_generator.advance(start * ROW_WIDTH)
     generator = np.random.Generator(bit_generator)
-    return (row for first in range(start, stop, BLOCK_ROWS)
-            for row in generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist())
+    return chain.from_iterable(generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist()
+                               for first in range(start, stop, BLOCK_ROWS))
 
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
@@ -194,31 +199,43 @@ def _play_rows(
 ) -> Iterator[RoundTranscript]:
     alice_queue = deque(_code_positions(config.alice_text))
     bob_queue = deque(_code_positions(config.bob_text))
-    protocol, strategy, p_cm = config.protocol, config.strategy, config.p_cm
-    suppress = config.suppress_outcome_reveal
-    original = protocol == ORIGINAL
-    mm, cm = Mode.MM, Mode.CM
-    # (bob_mode, alice_mode) -> whether Bob's code, then Alice's, carries a
-    # message: a code does iff the other party decodes it
-    carries = {(bob_mode, alice_mode): (policy.alice_decodes, policy.bob_decodes)
-               for (p, bob_mode, alice_mode), policy in POLICY.items() if p == protocol}
+    strategy, p_cm = config.strategy, config.p_cm
+    original = config.protocol == ORIGINAL
+    suppress = config.suppress_outcome_reveal and original
+    # Alice's mode is read at row[alice_at], Bob's (modified only) at row[0];
+    # the codes follow
+    alice_at = 0 if original else 1
+    mode = {False: Mode.MM, True: Mode.CM}  # by whether the mode's uniform is below p_cm
 
-    def draw_code(queue: deque, carries_message: bool, row: Sequence[float], at: int):
-        """A party's code and the position of the next unread uniform."""
-        if carries_message and queue:
-            return queue.popleft(), at
-        return int(4 * row[at]), at + 1
+    def pair(bob_mode: Mode, alice_mode: Mode) -> tuple:
+        """The pair's modes, and whether Bob's code, then Alice's, carries a
+        message: a code does iff the other party decodes it (see ``ROWS``)."""
+        policy = ROWS[ROW_NUMBER[config.protocol, bob_mode, alice_mode, suppress]][1]
+        return bob_mode, alice_mode, policy.alice_decodes, policy.bob_decodes
+
+    # fixed for the run: plan[b][a] is the pair of a round whose row[0] and
+    # row[alice_at] are below p_cm iff b and a.  An original round has Bob in
+    # MM and reads only row[0], so b changes nothing there.  Keyed by bool, not
+    # indexed, so that a numpy row's comparisons work too
+    plan = {b: {a: pair(Mode.MM if original else mode[b], mode[a]) for a in mode} for b in mode}
 
     for i, row in enumerate(rows, first_round):
         try:
-            if original:
-                bob_mode, at = mm, 0
+            bob_mode, alice_mode, bob_carries, alice_carries = \
+                plan[row[0] < p_cm][row[alice_at] < p_cm]
+            at = alice_at + 1
+            # a code carrying a message comes from the party's text while it
+            # lasts; any other code reads a uniform
+            if bob_carries and bob_queue:
+                bob_code = bob_queue.popleft()
             else:
-                bob_mode, at = cm if row[0] < p_cm else mm, 1
-            alice_mode = cm if row[at] < p_cm else mm
-            bob_carries, alice_carries = carries[bob_mode, alice_mode]
-            bob_code, at = draw_code(bob_queue, bob_carries, row, at + 1)
-            alice_code, at = draw_code(alice_queue, alice_carries, row, at)
+                bob_code = int(4 * row[at])
+                at += 1
+            if alice_carries and alice_queue:
+                alice_code = alice_queue.popleft()
+            else:
+                alice_code = int(4 * row[at])
+                at += 1
             if original:
                 t = run_round_original(bob_code, alice_mode, alice_code, strategy, row, at,
                                        round_id=i, suppress_outcome_reveal=suppress)
@@ -442,14 +459,37 @@ def exact_oracle(protocol: str, strategy: str) -> OracleResult:
 # ---------------------------------------------------------------------------
 # serialization
 
+LINES_PER_WRITE = 256  # transcript lines per sink.write call
+
+
 def tee_transcripts(
     transcripts: Iterable[RoundTranscript], sink: IO[str]
 ) -> Iterator[RoundTranscript]:
-    """Yield each transcript after writing it to ``sink`` as one JSON line."""
-    for t in transcripts:
-        sink.write(transcript_to_line(t))
-        sink.write("\n")
-        yield t
+    """Yield each transcript, and write it to ``sink`` as one JSON line.
+
+    Lines are made one per transcript, in order, and reach the sink in
+    blocks of ``LINES_PER_WRITE``, one ``write`` call per block.  Once the
+    generator is exhausted or closed, or an upstream error has passed
+    through it, the sink holds the line of every transcript it yielded.
+    """
+    lines: list[str] = []
+    try:
+        for t in transcripts:
+            lines.append(transcript_to_line(t))
+            if len(lines) == LINES_PER_WRITE:
+                _write_lines(lines, sink)
+            yield t
+    finally:
+        if lines:
+            _write_lines(lines, sink)
+
+
+def _write_lines(lines: list[str], sink: IO[str]) -> None:
+    """Write ``lines`` to ``sink`` in one call, each ended by a newline, and empty the list."""
+    lines.append("")
+    block = "\n".join(lines)
+    lines.clear()
+    sink.write(block)
 
 
 def write_transcripts(transcripts: Iterable[RoundTranscript], sink: IO[str]) -> None:

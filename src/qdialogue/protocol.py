@@ -165,9 +165,15 @@ ROW_NUMBER = {key: number for number, (key, _) in enumerate(ROWS)}
 # the original message-check round has no outcome reveal to suppress
 ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, True] = ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, False]
 N_SHAPES = len(ROWS) * 4 * 4 * 4 * 5  # see the module docstring
+# ROW_NUMBER as the round functions read it, with no key tuple built per
+# round: alice_mode -> outcome suppressed -> row for an original round,
+# bob_mode -> alice_mode -> row for a modified one
+_ORIGINAL_ROW = {alice: {suppressed: ROW_NUMBER[ORIGINAL, Mode.MM, alice, suppressed]
+                         for suppressed in (False, True)} for alice in Mode}
+_MODIFIED_ROW = {bob: {alice: ROW_NUMBER[MODIFIED, bob, alice, False] for alice in Mode}
+                 for bob in Mode}
 
 _RECEIPT = Announcement(ALICE, RECEIPT_ACK, None)
-_MM = Mode.MM  # a global read is cheaper than an Enum class attribute
 
 
 def announcements_for(policy: RoundPolicy, values: tuple) -> tuple[Announcement, ...]:
@@ -321,7 +327,7 @@ def run_round_original(
     as an out-of-band private reveal) but is omitted from the public
     announcements, which is what an eavesdropper reads.
     """
-    row = ROW_NUMBER[ORIGINAL, _MM, alice_mode, suppress_outcome_reveal]
+    row = _ORIGINAL_ROW[alice_mode][suppress_outcome_reveal]
     return _run_round(row, bob_code, alice_code, strategy, uniforms, at, round_id)
 
 
@@ -341,5 +347,5 @@ def run_round_modified(
     Arguments as for ``run_round_original``.  CM codes for either party are
     expected to be uniform random (the caller supplies them).
     """
-    row = ROW_NUMBER[MODIFIED, bob_mode, alice_mode, False]
+    row = _MODIFIED_ROW[bob_mode][alice_mode]
     return _run_round(row, bob_code, alice_code, strategy, uniforms, at, round_id)

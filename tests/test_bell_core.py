@@ -412,6 +412,32 @@ class TestStepTables:
                 assert bit == table_bit
                 assert post.amps.tobytes() == table_post.amps.tobytes()
 
+    @pytest.mark.parametrize("u", [0.0, 0.5, 0.9999999999999998, 1 - 2**-53])
+    def test_no_uniform_draws_a_bit_of_probability_zero(self, u):
+        # a state whose travel bit is certain stores P(1) as exactly 0.0 or
+        # 1.0, so every uniform in [0, 1) draws the bit that has a collapse,
+        # on the table and off it
+        certain = [sid for sid, entry in enumerate(bell_core.TAP) if None in entry[1:]]
+        assert certain
+        for sid in certain:
+            p_one, on_zero, on_one = bell_core.TAP[sid]
+            assert p_one == (0.0 if on_one is None else 1.0)
+            bit, post = measure_computational(REACHABLE[sid], Qubit.TRAVEL, _FixedRng(u))
+            drawn = 0 if on_one is None else 1
+            assert (bit, post) == (drawn, REACHABLE[(on_zero, on_one)[drawn]])
+            copy = TwoQubitState(REACHABLE[sid].amps)
+            assert measure_computational(copy, Qubit.TRAVEL, _FixedRng(u))[0] == bit
+
+    @pytest.mark.parametrize("target", [Qubit.HOME, Qubit.TRAVEL])
+    def test_off_table_bit_within_tolerance_of_zero_is_never_drawn(self, target):
+        tiny = 1e-6  # amplitude of the target bit's 1 component: P(1) = 1e-12
+        amps = [np.sqrt(1 - tiny**2), tiny, 0, 0] if target is Qubit.TRAVEL else \
+            [np.sqrt(1 - tiny**2), 0, tiny, 0]
+        for u in (0.0, 1 - 2**-53):
+            bit, post = measure_computational(TwoQubitState(amps), target, _FixedRng(u))
+            assert bit == 0
+            np.testing.assert_allclose(post.amps, [1, 0, 0, 0], atol=1e-9)
+
     def test_runs_stay_on_the_tables(self, monkeypatch):
         constructed = []
         post_init = TwoQubitState.__post_init__

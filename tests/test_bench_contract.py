@@ -16,6 +16,7 @@ import pytest
 
 from qdialogue import cli
 from qdialogue.adversary import STRATEGIES
+from qdialogue.harness import LINES_PER_WRITE
 from qdialogue.protocol import PROTOCOLS
 
 ROUNDS = 200
@@ -49,3 +50,19 @@ def test_tracer_sees_every_round_once(strategy, protocol, with_output, tmp_path)
     if with_output:
         assert stats["harness.transcript_to_line"][0] == ROUNDS
 
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_tracer_sees_every_line_across_write_blocks(protocol, tmp_path):
+    rounds = 2 * LINES_PER_WRITE + 7
+    path = tmp_path / "rounds.jsonl"
+    tracer = load_tracing().Tracer()
+    argv = ["run", "--protocol", protocol, "--attack", "bell-substitution",
+            "--rounds", str(rounds), "--format", "records", "--output", str(path)]
+    with tracer.installed(), redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    stats = tracer.stats
+    assert stats["protocol.run_round_original"][0] + stats["protocol.run_round_modified"][0] \
+        == rounds
+    assert stats["harness.iter_rounds"][0] == rounds + 1
+    assert stats["harness.transcript_to_line"][0] == rounds
+    assert len(path.read_text(encoding="utf-8").splitlines()) == rounds

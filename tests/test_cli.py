@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qdialogue import harness
-from qdialogue.cli import main
+from qdialogue.cli import build_parser, main
 from qdialogue.harness import parse_transcript_line
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -342,3 +342,53 @@ class TestTopLevel:
     def test_missing_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; it must act as a fresh one."""
+
+    @staticmethod
+    def fresh(capsys, *argv):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(list(argv))
+        captured = capsys.readouterr()
+        return exited.value.code, captured.out, captured.err
+
+    def test_usage_error_after_runs_matches_a_fresh_parser(self, capsys):
+        for seed in ("1", "2"):
+            assert run_cli(capsys, "run", "--rounds", "20", "--seed", seed)[0] == 0
+        code, _, err = run_cli(capsys, "run", "--p-cm", "1.5")
+        fresh_code, _, fresh_err = self.fresh(capsys, "run", "--p-cm", "1.5")
+        assert code == 2
+        assert (code, err) == (fresh_code, fresh_err)
+
+    def test_help_after_a_run_matches_a_fresh_parser(self, capsys):
+        assert run_cli(capsys, "run", "--rounds", "20")[0] == 0
+        code, out, _ = run_cli(capsys, "--help")
+        fresh_code, fresh_out, _ = self.fresh(capsys, "--help")
+        assert code == 0
+        assert (code, out) == (fresh_code, fresh_out)
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import qdialogue.cli\n"
+            "at_import = len(built)\n"
+            "qdialogue.cli.main(['oracle', '--format', 'records'])\n"
+            "first = len(built)\n"
+            "qdialogue.cli.main(['oracle', '--format', 'records'])\n"
+            "print(at_import, first > 0, len(built) == first)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 True True"

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from qdialogue.adversary import BELL_SUBSTITUTION, STRATEGIES
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.harness import (
+    LINES_PER_WRITE,
     ROW_WIDTH,
     SUMMARY_COLUMNS,
     ConfigurationError,
@@ -32,6 +33,7 @@ from qdialogue.harness import (
     run_sessions,
     summarize,
     summary_to_record,
+    tee_transcripts,
     text_to_codes,
     transcript_to_line,
     uniform_rows,
@@ -485,6 +487,59 @@ class TestSerialization:
         summary, _ = run_sessions(RunConfig(rounds=5, seed=0))
         with pytest.raises(ConfigurationError, match="format"):
             write_summary(summary, io.StringIO(), format="yaml")
+
+
+def reference_lines(transcripts) -> str:
+    """The sink's text when every line is written on its own."""
+    return "".join(transcript_to_line(t) + "\n" for t in transcripts)
+
+
+class CountingSink(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.fixture(scope="module")
+def thousand_rounds():
+    return list(iter_rounds(RunConfig(MODIFIED, BELL_SUBSTITUTION, rounds=1000, seed=2)))
+
+
+class TestTranscriptWriter:
+    """Lines reach the sink in blocks of LINES_PER_WRITE, one write call each."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, LINES_PER_WRITE - 1, LINES_PER_WRITE, LINES_PER_WRITE + 1, 1000]
+    )
+    def test_blocks_hold_the_per_line_text(self, thousand_rounds, n):
+        transcripts = thousand_rounds[:n]
+        sink = CountingSink()
+        write_transcripts(transcripts, sink)
+        assert sink.getvalue() == reference_lines(transcripts)
+        assert sink.writes == -(-n // LINES_PER_WRITE)
+
+    @pytest.mark.parametrize("stop", [1, LINES_PER_WRITE, LINES_PER_WRITE + 3])
+    def test_a_closed_tee_has_written_every_yielded_line(self, thousand_rounds, stop):
+        sink = io.StringIO()
+        tee = tee_transcripts(thousand_rounds, sink)
+        yielded = [next(tee) for _ in range(stop)]
+        tee.close()
+        assert sink.getvalue() == reference_lines(yielded)
+
+    def test_an_upstream_error_passes_through_as_itself(self):
+        rows = [[0.5] * ROW_WIDTH] * 3 + [[0.5]]  # the last row is too short
+        sink = io.StringIO()
+        yielded = []
+        with pytest.raises(RowOverdrawError, match="round 3 ") as raised:
+            for t in tee_transcripts(rounds_from_rows(RunConfig(MODIFIED), rows), sink):
+                yielded.append(t)
+        assert type(raised.value) is RowOverdrawError
+        assert len(yielded) == 3
+        assert sink.getvalue() == reference_lines(yielded)
 
 
 class TestSummarize:
