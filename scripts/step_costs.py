@@ -13,9 +13,9 @@ change.  This script times each step bare, best of five runs:
   summarize          ``summarize`` over a batch, per transcript
   summarize 10k      ``summarize`` over an iterator of one 10,000-round run,
                      per transcript: a run has few shapes for its rounds
-  write 10k          ``write_transcripts`` of the same run into an
-                     ``io.StringIO``, per transcript: a line each, written in
-                     blocks
+  write 10k          ``write_transcripts`` of the same run into a new
+                     temporary file, per transcript: a line each, written in
+                     blocks to a real file, as ``run --output`` writes them
   cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
@@ -32,7 +32,7 @@ rows of seed 1's stream with p_cm 0.5.
 
 from __future__ import annotations
 
-import io
+import tempfile
 import timeit
 from collections import deque
 from dataclasses import fields
@@ -59,6 +59,11 @@ LONG_RUN = 10_000
 
 def _drain(calls) -> None:
     deque(calls, maxlen=0)
+
+
+def _write_to_file(transcripts) -> None:
+    with tempfile.TemporaryFile("w", encoding="utf-8") as sink:
+        write_transcripts(transcripts, sink)
 
 
 def step_costs(number: int = 200) -> list[tuple[str, float]]:
@@ -89,7 +94,7 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("to_line hit", lambda: _drain(map(transcript_to_line, batch)), BATCH),
         ("summarize", lambda: summarize(batch), BATCH),
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
-        ("write 10k", lambda: write_transcripts(long_run, io.StringIO()), LONG_RUN),
+        ("write 10k", lambda: _write_to_file(long_run), LONG_RUN),
         ("cli parse", lambda: _drain(map(parser.parse_args, argvs)), BATCH),
         *(engine_round(p, s) for p in PROTOCOLS for s in (NONE, BELL_SUBSTITUTION)),
     ]

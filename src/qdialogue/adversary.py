@@ -30,9 +30,11 @@ Each strategy is two leg functions on state ids (positions in
 ``u`` is the leg's uniform; a leg that reads none ignores it, and ``LEGS``
 says how many each leg reads (0 or 1).  The round engine in ``protocol``
 composes the legs directly.  An ``AdversaryChannel`` is one round of Eve on
-``TwoQubitState``s: its legs call the same functions, and once the
-announcements are public it files her report, which is ``None`` unless she
-learned Alice's code.
+``TwoQubitState``s: it finds a state's id by its class up to global phase
+(``bell_core.phase_class``), so any member of a reachable class will do,
+runs the same leg functions, and hands back the class's representative in
+``REACHABLE``.  Once the announcements are public it files Eve's report,
+which is ``None`` unless she learned Alice's code.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ from typing import TYPE_CHECKING, Iterable
 from .bell_core import (
     ALL_CODES,
     CDF,
+    CLASS_ID,
     PAULI,
     REACHABLE,
-    STATE_ID,
     TAP,
     PauliCode,
     TwoQubitState,
     UniformSource,
     bell_outcome,
     decode_bits,
-    tap_outcome,
+    phase_class,
 )
 
 if TYPE_CHECKING:
@@ -86,8 +88,10 @@ def _pass_back(state: int, u: float, memory: None) -> tuple[int, None]:
 
 
 def _tap_forward(state: int, u: float) -> tuple[int, None]:
-    """measure-resend: measure the travel qubit, pass the collapsed pair on."""
-    return tap_outcome(TAP[state], u)[1], None
+    """measure-resend: measure the travel qubit (bit 1 iff u < P(1)) and
+    pass the collapsed pair on."""
+    p_one, on_zero, on_one = TAP[state]
+    return on_one if u < p_one else on_zero, None
 
 
 def _disturb_back(state: int, u: float, memory: None) -> tuple[int, None]:
@@ -123,7 +127,7 @@ LEGS = {
 
 def _state_id(world: TwoQubitState) -> int:
     try:
-        return STATE_ID[world]
+        return CLASS_ID[phase_class(world)]
     except KeyError:
         raise ValueError("the channel acts only on states of bell_core.REACHABLE") from None
 

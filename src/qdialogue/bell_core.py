@@ -15,26 +15,30 @@ anchor pair:
 i.e. the encoding always acts on the travel qubit, the one a party is
 physically holding when they encode.
 
-Every step the protocols take is a stabilizer operation, so the simulator
-only ever reaches a finite set of states: closing the four Bell states under
-travel-qubit Paulis and computational-basis collapses gives the 24 states of
-``REACHABLE``, the Bell states first in ``ALL_INDICES`` order.  A state's
-position there is its id, and the step tables are tuples indexed by id,
-filled once at import from the amplitude helpers below:
+Every step the protocols take is a stabilizer operation, so the round
+engine only ever reaches a finite set of states: closing the four Bell
+states under travel-qubit Paulis and computational-basis collapses gives 8
+states up to global phase, the classes of ``REACHABLE``, the Bell states
+first in ``ALL_INDICES`` order.  A class's position there is its id, and
+the step tables are tuples indexed by id, filled once at import from the
+state functions below:
 
     PAULI[s][2k + l]   the id of U_kl applied to the travel qubit of s
     CDF[s]             the Bell-outcome CDF of s, in ALL_INDICES order
     TAP[s]             (P(travel bit = 1), id on 0, id on 1), None for a
-                       bit of probability 0, whose P(1) is then exactly
-                       0.0 or 1.0, so that no uniform draws it
+                       bit of probability 0
 
-The round engine composes these ids directly.  The ``TwoQubitState``
-functions read the same tables through ``STATE_ID`` (state -> id, an
-identity-hash lookup); a state outside them (a hand-built one, or a
-HOME-qubit step) is computed directly by the same helpers and not stored.
-A measurement reads one uniform and samples by ``bell_outcome`` or
-``tap_outcome``, so a state function can be driven by any object with a
-``random()`` method returning floats in [0, 1).
+Every tabulated probability is exact: two-qubit stabilizer states have
+Born weights in multiples of 1/4, and ``_tabulate`` snaps each computed
+value to its multiple.  ``phase_class`` keys a state by its class, and
+``CLASS_ID`` maps that key to the id.
+
+The round engine composes ids; the ``TwoQubitState`` functions
+(``apply_pauli``, ``bell_measure``, ``measure_computational``) compute on
+amplitudes and never read the tables, so the two stay independent routes
+to the same physics.  A measurement reads one uniform, so a state function
+can be driven by any object with a ``random()`` method returning floats
+in [0, 1).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -67,9 +72,6 @@ class Qubit(Enum):
     # members are singletons compared by identity, so the identity hash is
     # correct, and it is much cheaper than Enum's hash of the member name
     __hash__ = object.__hash__
-
-
-_TRAVEL = Qubit.TRAVEL  # a global read is cheaper than an Enum class attribute
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,16 @@ class TwoQubitState:
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
 
+    @cached_property
+    def bell_cdf(self) -> tuple[float, ...]:
+        """Cumulative Born probabilities of the Bell outcomes, in ALL_INDICES
+        order, computed on first use (the amplitudes never change)."""
+        probs = np.abs(_BELL_CONJ @ self.amps) ** 2
+        total = float(probs.sum())
+        if abs(total - 1.0) > NORM_ATOL:
+            raise ValueError(f"Bell probabilities sum to {total}, not 1")
+        return tuple(np.cumsum(probs).tolist())
+
 
 # the label (a, b) sits at position 2a + b of both tuples; code that looks
 # labels up by their bits relies on this order
@@ -160,11 +172,11 @@ for _code, _u in _SINGLE.items():
 
 _PSI00 = np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2.0)
 
-_BELL_AMPS = {
-    idx: _OPS[(PauliCode(idx.x, idx.y), Qubit.TRAVEL)] @ _PSI00 for idx in ALL_INDICES
-}
+# states are immutable, so the four Bell states can be shared singletons,
+# listed in ALL_INDICES order: bell_state(x, y) is U_xy on the anchor pair
+_BELL_STATES = tuple(TwoQubitState(_OPS[(code, Qubit.TRAVEL)] @ _PSI00) for code in ALL_CODES)
 # rows are <bell_idx| so that _BELL_CONJ @ amps gives the four overlaps at once
-_BELL_CONJ = np.array([np.conj(_BELL_AMPS[idx]) for idx in ALL_INDICES])
+_BELL_CONJ = np.array([np.conj(state.amps) for state in _BELL_STATES])
 
 # basis index -> value of the home / travel bit
 _BIT_OF = {
@@ -172,25 +184,15 @@ _BIT_OF = {
     Qubit.TRAVEL: np.array([0, 1, 0, 1]),
 }
 
-# states are immutable, so the four Bell states can be shared singletons,
-# listed in ALL_INDICES order
-_BELL_STATES = tuple(TwoQubitState(_BELL_AMPS[idx]) for idx in ALL_INDICES)
 
 def bell_state(idx: BellIndex) -> TwoQubitState:
     """Return the Bell state labelled by ``idx``."""
     return _BELL_STATES[2 * idx.x + idx.y]
 
 
-def _pauli_image(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
-    return TwoQubitState(_OPS[(code, target)] @ state.amps)
-
-
 def apply_pauli(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
     """Apply the 2x2 operator U_code to the chosen qubit of ``state``."""
-    sid = STATE_ID.get(state) if target is _TRAVEL else None
-    if sid is None:
-        return _pauli_image(state, code, target)
-    return REACHABLE[PAULI[sid][2 * code.k + code.l]]
+    return TwoQubitState(_OPS[(code, target)] @ state.amps)
 
 
 def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
@@ -202,15 +204,6 @@ def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
     """
     sign = -1.0 if ((outer.k ^ outer.l) & inner.k) else 1.0
     return PhasedPauli(PauliCode(outer.k ^ inner.k, outer.l ^ inner.l), complex(sign))
-
-
-def _bell_cdf(state: TwoQubitState) -> tuple[float, ...]:
-    """Cumulative Born probabilities of the Bell outcomes, in ALL_INDICES order."""
-    probs = np.abs(_BELL_CONJ @ state.amps) ** 2
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORM_ATOL:
-        raise ValueError(f"Bell probabilities sum to {total}, not 1")
-    return tuple(np.cumsum(probs).tolist())
 
 
 def bell_outcome(cdf: tuple[float, ...], u: float) -> int:
@@ -228,8 +221,7 @@ def bell_measure(
     Samples the outcome with its Born probability and returns the outcome
     label together with the collapsed (post-measurement) state.
     """
-    sid = STATE_ID.get(state)
-    i = bell_outcome(_bell_cdf(state) if sid is None else CDF[sid], rng.random())
+    i = bell_outcome(state.bell_cdf, rng.random())
     return ALL_INDICES[i], _BELL_STATES[i]
 
 
@@ -247,13 +239,6 @@ def _collapse(state: TwoQubitState, target: Qubit, bit: int, p_bit: float) -> Tw
     return TwoQubitState(kept / np.sqrt(p_bit))
 
 
-def tap_outcome(entry: tuple, u: float) -> tuple[int, int | None]:
-    """The bit the uniform ``u`` draws from a ``TAP`` entry (1 iff u < P(1))
-    and the entry's collapse on it."""
-    bit = 1 if u < entry[0] else 0
-    return bit, entry[1 + bit]
-
-
 def measure_computational(
     state: TwoQubitState, target: Qubit, rng: UniformSource
 ) -> tuple[int, TwoQubitState]:
@@ -261,13 +246,9 @@ def measure_computational(
 
     Returns the sampled bit and the collapsed, renormalized pair state.
     """
-    sid = STATE_ID.get(state) if target is _TRAVEL else None
-    entry = (_p_one(state, target), None, None) if sid is None else TAP[sid]
-    bit, post = tap_outcome(entry, rng.random())
-    if post is not None:
-        return bit, REACHABLE[post]
-    # a state off the tables, collapsed on the drawn bit, whose P is nonzero
-    return bit, _collapse(state, target, bit, entry[0] if bit else 1.0 - entry[0])
+    p_one = _p_one(state, target)
+    bit = 1 if rng.random() < p_one else 0
+    return bit, _collapse(state, target, bit, p_one if bit else 1.0 - p_one)
 
 
 def decode_bits(outcome: BellIndex, own: PauliCode) -> PauliCode:
@@ -291,36 +272,50 @@ def random_code(rng: UniformSource) -> PauliCode:
 
 # -- the step tables, filled once by closing the Bell states under the steps
 
-def _tabulate() -> tuple[tuple, ...]:
-    """REACHABLE, PAULI, CDF and TAP (see the module docstring).
+def phase_class(state: TwoQubitState) -> tuple[complex, ...]:
+    """The key of ``state``'s class up to global phase: its amplitudes with
+    the first of magnitude at least 1/2 turned real and positive, rounded
+    to 9 places (a normalized state has one)."""
+    amps = state.amps
+    pivot = amps[np.argmax(np.abs(amps) >= 0.5 - NORM_ATOL)]
+    return tuple(np.round(amps * (abs(pivot) / pivot), 9).tolist())
 
-    States are interned by amplitude bytes while the tables are built, so
-    each reachable state is one object and one id, in discovery order with
-    the Bell states first.
+
+def _exact(p: float) -> float:
+    """The multiple of 1/4 that ``p`` is, up to rounding (see the module docstring)."""
+    snapped = round(4 * p) / 4
+    assert abs(snapped - p) <= NORM_ATOL, f"{p} is no multiple of 1/4"
+    return snapped
+
+
+def _tabulate() -> tuple[tuple, ...]:
+    """REACHABLE, CLASS_ID, PAULI, CDF and TAP (see the module docstring).
+
+    States are interned by ``phase_class`` while the tables are built, so
+    each class has one representative, the first member found, and one id,
+    in discovery order with the Bell states first.
     """
-    ids: dict[bytes, int] = {}
+    ids: dict[tuple, int] = {}
     states: list[TwoQubitState] = []
 
     def intern(state: TwoQubitState) -> int:
-        key = state.amps.tobytes()
-        if key not in ids:
-            ids[key] = len(states)
+        sid = ids.setdefault(phase_class(state), len(states))
+        if sid == len(states):  # a new class: its first member represents it
             states.append(state)
-        return ids[key]
+        return sid
 
     for root in _BELL_STATES:
         intern(root)
     pauli, cdf, tap = [], [], []
     for state in states:  # grows while the steps find new states
-        pauli.append(tuple(intern(_pauli_image(state, code, Qubit.TRAVEL)) for code in ALL_CODES))
-        cdf.append(_bell_cdf(state))
-        p_one = _p_one(state, Qubit.TRAVEL)
+        pauli.append(tuple(intern(apply_pauli(state, code, Qubit.TRAVEL)) for code in ALL_CODES))
+        cdf.append(tuple(map(_exact, state.bell_cdf)))
+        p_one = _exact(_p_one(state, Qubit.TRAVEL))
         tap.append((p_one,) + tuple(
             intern(_collapse(state, Qubit.TRAVEL, bit, p_bit)) if p_bit else None
             for bit, p_bit in enumerate((1.0 - p_one, p_one))
         ))
-    return tuple(states), tuple(pauli), tuple(cdf), tuple(tap)
+    return tuple(states), ids, tuple(pauli), tuple(cdf), tuple(tap)
 
 
-REACHABLE, PAULI, CDF, TAP = _tabulate()
-STATE_ID = {state: sid for sid, state in enumerate(REACHABLE)}  # states hash by identity
+REACHABLE, CLASS_ID, PAULI, CDF, TAP = _tabulate()

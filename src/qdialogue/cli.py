@@ -54,6 +54,12 @@ def _probability(raw: str) -> float:
     return value
 
 
+def _file_path(raw: str) -> str:
+    if not raw:
+        raise argparse.ArgumentTypeError("must name a file, got ''")
+    return raw
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdialogue",
@@ -68,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--p-cm", type=_probability, default=0.5,
                      help="per-party probability of choosing checking mode")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--output", help="write per-round transcripts (JSON lines) here")
+    run.add_argument("--output", type=_file_path,
+                     help="write per-round transcripts (JSON lines) here")
     run.add_argument("--format", choices=("text", "csv", "records"), default="text")
 
     oracle = sub.add_parser("oracle", help="exact branch-enumeration probabilities")

@@ -7,6 +7,8 @@ her conditional replay on Bob's pair.  Agreement shows the factorized
 two-pair representation inside the package is exact.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import BIT_PAIRS, U_ORACLE, on_travel, oracle_bell, uniforms
@@ -14,28 +16,37 @@ from conftest import BIT_PAIRS, U_ORACLE, on_travel, oracle_bell, uniforms
 from qdialogue.adversary import (
     BELL_SUBSTITUTION,
     DISTURBANCE,
+    LEGS,
     MEASURE_RESEND,
     NONE,
+    STRATEGIES,
     AdversaryChannel,
     ProtocolOrderError,
 )
 from qdialogue.bell_core import (
     ALL_CODES,
+    ALL_INDICES,
+    CDF,
+    PAULI,
     REACHABLE,
+    TAP,
     BellIndex,
     PauliCode,
     Qubit,
     TwoQubitState,
     apply_pauli,
     bell_measure,
+    bell_outcome,
     bell_state,
     overlap,
 )
+from qdialogue.harness import exact_oracle
 from qdialogue.protocol import (
     ALICE,
     BOB,
     MODE_REVEAL,
     OUTCOME_REVEAL,
+    PROTOCOLS,
     Announcement,
     Mode,
     run_round_original,
@@ -263,6 +274,81 @@ class TestChannelOrdering:
         with pytest.raises(ValueError, match="REACHABLE"):
             channel.on_forward(off_table, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k, l", BIT_PAIRS)
+    def test_a_negated_bell_state_is_accepted(self, k, l):
+        negated = TwoQubitState(-bell_state(BellIndex(k, l)).amps)
+        channel = AdversaryChannel(NONE)
+        assert channel.on_forward(negated, FixedRng(0.5)) is bell_state(BellIndex(k, l))
+
+    def test_an_apply_pauli_image_is_accepted(self):
+        # apply_pauli computes a new state, not a table object; the channel
+        # finds its class all the same
+        channel = AdversaryChannel(MEASURE_RESEND)
+        handed = channel.on_forward(bell_state(BellIndex(0, 0)), FixedRng(0.25))  # |01>
+        encoded = apply_pauli(handed, PauliCode(1, 0), Qubit.TRAVEL)  # iY|01> = -|00>
+        assert all(encoded is not state for state in REACHABLE)
+        delivered = channel.on_return(encoded, FixedRng(0.5))
+        assert abs(abs(overlap(delivered, encoded)) - 1.0) <= 1e-12
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             AdversaryChannel("entangle-and-measure")
+
+
+def law(step, state, reads=1):
+    """{result: exact probability} of ``step(state, u)`` for u uniform on
+    [0, 1).  A step compares its uniform only with quarters (a code draw)
+    and with the table values of ``state``, so it is constant between
+    consecutive such cuts, and each interval's midpoint stands for it."""
+    if not reads:
+        return {step(state, 0.0): Fraction(1)}
+    cuts = {0, 1, 0.25, 0.5, 0.75, TAP[state][0], *CDF[state]}
+    points = sorted(map(Fraction, cuts))
+    out = {}
+    for a, b in zip(points, points[1:]):
+        result = step(state, float((a + b) / 2))
+        out[result] = out.get(result, 0) + b - a
+    return out
+
+
+def born(state):
+    """{Bell outcome position: the weight ``CDF[state]`` gives it}, nonzero ones only."""
+    cdf = [Fraction(0), *map(Fraction, CDF[state])]
+    return {i: b - a for i, (a, b) in enumerate(zip(cdf, cdf[1:])) if b > a}
+
+
+@pytest.mark.parametrize("state", range(len(REACHABLE)))
+def test_bell_outcome_draws_the_tabulated_weights(state):
+    assert law(lambda s, u: bell_outcome(CDF[s], u), state) == born(state)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_engine_law_on_the_tables_is_the_exact_oracle(protocol, strategy):
+    """The law of the engine's round, enumerated over ``LEGS``, ``PAULI``,
+    ``CDF`` and ``TAP`` with Fraction weights, is the oracle's exactly; Bob's
+    outcome takes the weights of its ``CDF`` entry (the test above)."""
+    forward, forward_reads, back, back_reads = LEGS[strategy]
+    distribution = {}
+    pass_prob = eve_hits = eve_total = Fraction(0)
+    for bob in range(4):
+        for alice in range(4):
+            cell = {}
+            for (state, memory), w1 in law(forward, PAULI[0][bob], forward_reads).items():
+                returned = law(lambda s, u: back(s, u, memory), PAULI[state][alice], back_reads)
+                for (final, inferred), w2 in returned.items():
+                    for outcome, w3 in born(final).items():
+                        weight = w1 * w2 * w3
+                        index = ALL_INDICES[outcome]
+                        cell[index] = cell.get(index, 0) + weight
+                        share = weight / 16  # of all rounds: the 16 code pairs are equally likely
+                        if outcome == bob ^ alice:  # the honest index passes a check
+                            pass_prob += share
+                        if inferred is not None:
+                            eve_total += share
+                            eve_hits += share if inferred == alice else 0
+            distribution[ALL_CODES[bob], ALL_CODES[alice]] = cell
+    oracle = exact_oracle(protocol, strategy)
+    assert distribution == oracle.outcome_distribution
+    assert pass_prob == oracle.check_pass_probability
+    assert (eve_hits / eve_total if eve_total else None) == oracle.eve_alice_accuracy_exact

@@ -39,6 +39,7 @@ from qdialogue.bell_core import (
     decode_bits,
     measure_computational,
     overlap,
+    phase_class,
     random_code,
 )
 from qdialogue.adversary import STRATEGIES
@@ -365,16 +366,22 @@ class TestMemoizedSteps:
 TRAVEL_BIT = np.array([0, 1, 0, 1])
 
 
+def same_class(a, b) -> bool:
+    """Whether amplitude vectors ``a`` and ``b`` differ by a global phase at most."""
+    return abs(abs(np.vdot(a, b)) - 1.0) <= 1e-12
+
+
 class TestStepTables:
     """The step tables built at import: closed, exact, and never written again."""
 
     def test_every_entry_matches_the_matrix_oracle(self):
+        # a table holds one state per class up to global phase, so an image
+        # or collapse matches the oracle's vector up to that phase
         for sid, state in enumerate(REACHABLE):
             assert len(bell_core.PAULI[sid]) == len(ALL_CODES)
             for code in ALL_CODES:
                 image = REACHABLE[bell_core.PAULI[sid][2 * code.k + code.l]]
-                expected = on_travel(U_ORACLE[(code.k, code.l)]) @ state.amps
-                np.testing.assert_allclose(image.amps, expected, atol=1e-12)
+                assert same_class(image.amps, on_travel(U_ORACLE[(code.k, code.l)]) @ state.amps)
             probs = [abs(np.vdot(oracle_bell(x, y), state.amps)) ** 2 for x, y in BIT_PAIRS]
             np.testing.assert_allclose(bell_core.CDF[sid], np.cumsum(probs), atol=1e-12)
             p_one, *collapses = bell_core.TAP[sid]
@@ -384,49 +391,66 @@ class TestStepTables:
                 if np.vdot(kept, kept).real <= NORM_ATOL:
                     assert post is None
                 else:
-                    np.testing.assert_allclose(
-                        REACHABLE[post].amps, kept / np.linalg.norm(kept), atol=1e-12
-                    )
+                    assert same_class(REACHABLE[post].amps, kept / np.linalg.norm(kept))
 
-    def test_ids_are_reachable_positions_with_the_bell_states_first(self):
+    def test_every_probability_is_exact(self):
+        # two-qubit stabilizer states have Born weights in multiples of 1/4
+        probabilities = [p for cdf in bell_core.CDF for p in cdf]
+        probabilities += [entry[0] for entry in bell_core.TAP]
+        assert all(4 * p == int(4 * p) and 0 <= p <= 1 for p in probabilities)
+        assert all(cdf[-1] == 1.0 for cdf in bell_core.CDF)
+        assert {entry[0] for entry in bell_core.TAP[:4]} == {0.5}
+
+    def test_a_probability_off_the_quarters_is_refused(self):
+        assert bell_core._exact(0.4999999999999999) == 0.5
+        with pytest.raises(AssertionError, match="no multiple of 1/4"):
+            bell_core._exact(0.3)
+
+    def test_ids_are_classes_with_the_bell_states_first(self):
         # the round engine encodes on id 0 and hands Eve's Bell pair over as
         # the id of her code, so the Bell states must be ids 0-3 in order
         assert REACHABLE[:4] == tuple(bell_state(idx) for idx in ALL_INDICES)
-        assert [bell_core.STATE_ID[state] for state in REACHABLE] == list(range(len(REACHABLE)))
-        amplitudes = {state.amps.tobytes() for state in REACHABLE}
-        assert len(amplitudes) == len(REACHABLE)
+        assert len(REACHABLE) == 8
+        assert [bell_core.CLASS_ID[phase_class(state)] for state in REACHABLE] == list(range(8))
+        for i, a in enumerate(REACHABLE):
+            for b in REACHABLE[i + 1:]:
+                assert not same_class(a.amps, b.amps)
 
-    def test_off_table_copies_give_the_tabulated_bytes(self):
-        # the tables and the off-table path share one implementation of each step
+    @pytest.mark.parametrize("phase", [1, -1, 1j, np.exp(0.3j)])
+    def test_a_class_key_ignores_global_phase(self, phase):
         for state in REACHABLE:
-            copy = TwoQubitState(state.amps)
-            for code in ALL_CODES:
-                assert (
-                    apply_pauli(copy, code, Qubit.TRAVEL).amps.tobytes()
-                    == apply_pauli(state, code, Qubit.TRAVEL).amps.tobytes()
-                )
-            for u in (0.0, 0.3, 0.6, 0.99):
-                assert bell_measure(copy, _FixedRng(u)) == bell_measure(state, _FixedRng(u))
-                bit, post = measure_computational(copy, Qubit.TRAVEL, _FixedRng(u))
-                table_bit, table_post = measure_computational(state, Qubit.TRAVEL, _FixedRng(u))
-                assert bit == table_bit
-                assert post.amps.tobytes() == table_post.amps.tobytes()
+            assert phase_class(TwoQubitState(phase * state.amps)) == phase_class(state)
+
+    def test_state_functions_do_not_read_the_tables(self, monkeypatch):
+        # the statevector route must stay independent of the engine's tables
+        def steps():
+            return [
+                (apply_pauli(s, code, Qubit.TRAVEL).amps.tobytes(), bell_measure(s, _FixedRng(u)),
+                 measure_computational(s, Qubit.TRAVEL, _FixedRng(u))[0])
+                for s in REACHABLE for code in ALL_CODES for u in (0.0, 0.3, 0.6, 0.99)
+            ]
+
+        expected = steps()
+        for name in ("REACHABLE", "CLASS_ID", "PAULI", "CDF", "TAP"):
+            monkeypatch.setattr(bell_core, name, None)
+        assert steps() == expected
 
     @pytest.mark.parametrize("u", [0.0, 0.5, 0.9999999999999998, 1 - 2**-53])
     def test_no_uniform_draws_a_bit_of_probability_zero(self, u):
-        # a state whose travel bit is certain stores P(1) as exactly 0.0 or
-        # 1.0, so every uniform in [0, 1) draws the bit that has a collapse,
-        # on the table and off it
+        # a state whose travel bit is certain has P(1) exactly 0.0 or 1.0, in
+        # the table and from measure_computational on any member of its
+        # class, so every uniform in [0, 1) draws the bit that has a collapse
         certain = [sid for sid, entry in enumerate(bell_core.TAP) if None in entry[1:]]
         assert certain
         for sid in certain:
             p_one, on_zero, on_one = bell_core.TAP[sid]
             assert p_one == (0.0 if on_one is None else 1.0)
-            bit, post = measure_computational(REACHABLE[sid], Qubit.TRAVEL, _FixedRng(u))
             drawn = 0 if on_one is None else 1
-            assert (bit, post) == (drawn, REACHABLE[(on_zero, on_one)[drawn]])
-            copy = TwoQubitState(REACHABLE[sid].amps)
-            assert measure_computational(copy, Qubit.TRAVEL, _FixedRng(u))[0] == bit
+            for phase in (1, -1):
+                state = TwoQubitState(phase * REACHABLE[sid].amps)
+                bit, post = measure_computational(state, Qubit.TRAVEL, _FixedRng(u))
+                assert bit == drawn
+                assert same_class(post.amps, REACHABLE[(on_zero, on_one)[drawn]].amps)
 
     @pytest.mark.parametrize("target", [Qubit.HOME, Qubit.TRAVEL])
     def test_off_table_bit_within_tolerance_of_zero_is_never_drawn(self, target):
@@ -452,12 +476,12 @@ class TestStepTables:
                 for _ in iter_rounds(RunConfig(protocol, strategy, rounds=500, seed=4)):
                     pass
         assert constructed == []
-        assert len(REACHABLE) == 24
+        assert len(REACHABLE) == 8
 
-    def test_off_table_steps_leave_the_tables_unchanged(self):
+    def test_state_functions_leave_the_tables_unchanged(self):
         def tables():
             return (REACHABLE, bell_core.PAULI, bell_core.CDF, bell_core.TAP,
-                    dict(bell_core.STATE_ID))
+                    dict(bell_core.CLASS_ID))
 
         before = tables()
         rng = np.random.default_rng(8)
@@ -468,8 +492,9 @@ class TestStepTables:
                 apply_pauli(state, ALL_CODES[1], target)
                 measure_computational(state, target, rng)
             bell_measure(state, rng)
-        # HOME steps on reachable states are off the table too
         for state in REACHABLE:
-            apply_pauli(state, ALL_CODES[2], Qubit.HOME)
-            measure_computational(state, Qubit.HOME, rng)
+            for target in (Qubit.HOME, Qubit.TRAVEL):
+                apply_pauli(state, ALL_CODES[2], target)
+                measure_computational(state, target, rng)
+            bell_measure(state, rng)
         assert tables() == before

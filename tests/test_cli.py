@@ -97,6 +97,13 @@ class TestRunCommand:
         for line in lines:
             parse_transcript_line(line)
 
+    def test_empty_output_path_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--rounds", "10", "--output", "")
+        assert code == 2
+        assert "--output" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_io_error(self, capsys):
         code, _, err = run_cli(
             capsys,
