@@ -19,9 +19,9 @@ change.  This script times each step bare, best of five runs:
   cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
-                     on a fixed batch of rows: the row reads, the channel
-                     legs and Bell measurement on state ids, and
-                     ``shaped_transcript``
+                     on a fixed batch of rows: the row reads, the lookup
+                     of the round's shape in the strategy's round table,
+                     and ``shaped_transcript``
 
 The batch is one modified/bell-substitution run of 64 rounds, and the
 10,000-round run has the same config; the engine rounds play the first 64

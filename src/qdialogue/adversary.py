@@ -28,8 +28,9 @@ Each strategy is two leg functions on state ids (positions in
                                Alice's code as an ALL_CODES position, or None)
 
 ``u`` is the leg's uniform; a leg that reads none ignores it, and ``LEGS``
-says how many each leg reads (0 or 1).  The round engine in ``protocol``
-composes the legs directly.  An ``AdversaryChannel`` is one round of Eve on
+says how many each leg reads (0 or 1).  The legs are the one definition of
+each strategy: ``protocol`` runs them once per key into the round tables a
+simulated round looks up.  An ``AdversaryChannel`` is one round of Eve on
 ``TwoQubitState``s: it finds a state's id by its class up to global phase
 (``bell_core.phase_class``), so any member of a reachable class will do,
 runs the same leg functions, and hands back the class's representative in

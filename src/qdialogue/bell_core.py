@@ -33,7 +33,8 @@ Born weights in multiples of 1/4, and ``_tabulate`` snaps each computed
 value to its multiple.  ``phase_class`` keys a state by its class, and
 ``CLASS_ID`` maps that key to the id.
 
-The round engine composes ids; the ``TwoQubitState`` functions
+The round engine is built on ids (``protocol`` tabulates each strategy's
+round from these tables); the ``TwoQubitState`` functions
 (``apply_pauli``, ``bell_measure``, ``measure_computational``) compute on
 amplitudes and never read the tables, so the two stay independent routes
 to the same physics.  A measurement reads one uniform, so a state function

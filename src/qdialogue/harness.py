@@ -184,7 +184,12 @@ def rounds_from_rows(
     """Play one round per row of uniforms, numbering them from ``first_round``.
 
     The config and ``first_round`` are validated on the call, before any row
-    is read; a bad one raises ``ConfigurationError``.
+    is read; a bad one raises ``ConfigurationError``.  Every uniform of a row
+    must lie in [0, 1): a round reads each one after the modes only through
+    its quarter bin floor(4u).  The channel's and the measurement's uniforms
+    are looked up by their bins (see ``protocol``), so one of them outside
+    [0, 1) raises ``ValueError``.  A row too short for its round raises
+    ``RowOverdrawError``.
     """
     config.validate()
     if not _is_int(first_round) or first_round < 0:

@@ -27,23 +27,36 @@ its id as ``RoundTranscript.shape``; equal rounds get equal ids (see
 ``ROW_NUMBER``).
 
 Since the shape fixes the announcements, Eve's report, the check and the
-decodes, a round is played only up to its shape id, on state ids (see
-``bell_core``): Bob encodes his code on the anchor pair (id 0) with
+decodes, a round is played only up to its shape id.  On state ids (see
+``bell_core``), Bob encodes his code on the anchor pair (id 0) with
 ``PAULI``, the strategy's forward leg runs (``adversary.LEGS``), Alice
 encodes hers, the return leg runs, and Bob's outcome is ``bell_outcome`` of
-the final state's ``CDF``.  No state object is built or read.  Its
-transcript is ``shaped_transcript(round_id, shape)``, a copy of the shape's
-fields with the round_id set.  The fields are built once per shape, on
-first use, from the id's digits, so the rules above run and a
-``RoundTranscript`` is constructed once per shape, not once per round; the
-parser builds every transcript of a line the same way.  A round with a
-round_id that is not an exact int gets the same fields without a shape.
+the final state's ``CDF``.  Every ``CDF`` entry and tap ``P(1)`` is a
+multiple of 1/4, and a code is ALL_CODES[floor(4u)], so each uniform the
+round reads acts only through its quarter bin floor(4u).  The round is
+therefore a function of five digits, each 0-3, in the order it happens:
+Bob's code, the bin of the forward leg's uniform, Alice's code, the bin of
+the return leg's, the bin of the measurement's.  ``_round_table`` runs the
+legs for every key, on first use of the strategy, into
+``_ROUND_TABLES[strategy]``, and a round is one lookup there, on nested
+dicts keyed by those digits: a digit outside 0-3 finds no entry, and the
+round raises ValueError, never reading another key's.  The lookup gives the
+local shape id ``shape_id(0, ...)``; the round's is ``row * ROW_STRIDE``
+plus that.  Its transcript is ``shaped_transcript(round_id, shape)``, a
+copy of the shape's fields with the round_id set.  The fields are built
+once per shape, on first use, from the id's digits, so the rules above run
+and a ``RoundTranscript`` is constructed once per shape, not once per
+round; the parser builds every transcript of a line the same way.  A round
+with a round_id that is not an exact int gets the same fields without a
+shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache, partial
+from math import nextafter
 from typing import Sequence
 
 from .adversary import LEGS, EveReport, replay_report
@@ -165,6 +178,7 @@ ROW_NUMBER = {key: number for number, (key, _) in enumerate(ROWS)}
 # the original message-check round has no outcome reveal to suppress
 ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, True] = ROW_NUMBER[ORIGINAL, Mode.MM, Mode.CM, False]
 N_SHAPES = len(ROWS) * 4 * 4 * 4 * 5  # see the module docstring
+ROW_STRIDE = N_SHAPES // len(ROWS)  # shape_id(row, ...) == row * ROW_STRIDE + shape_id(0, ...)
 # ROW_NUMBER as the round functions read it, with no key tuple built per
 # round: alice_mode -> outcome suppressed -> row for an original round,
 # bob_mode -> alice_mode -> row for a modified one
@@ -283,6 +297,63 @@ def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     return t
 
 
+_CODES = range(4)  # ALL_CODES positions
+# the quarter bins of u in [0, 1), as floats: a round computes the bin
+# floor(4u) as u // 0.25, which is exact and cheaper than int(4 * u), and a
+# float key is found faster by a float than an int key is
+_QUARTERS = (0.0, 1.0, 2.0, 3.0)
+# strategy -> (table, position of the return leg's uniform, of the
+# measurement's), relative to a round's first channel uniform; filled on
+# first use by ``_round_table``
+_ROUND_TABLES: dict[str, tuple[dict, int, int]] = {}
+
+
+def _round_table(strategy: str) -> tuple[dict, int, int]:
+    """Tabulate ``strategy``'s round: table[bob_code][forward bin][alice_code]
+    [return bin][measurement bin] is the local shape id (see the module
+    docstring).  A leg that reads no uniform ignores its bin.
+
+    Each step, a leg or Bob's measurement, compares its uniform only with
+    quarters and table values, and its result moves one way as the uniform
+    grows, so a table value inside a quarter bin makes the bin's two ends
+    differ.  Each step is run at the lower end q/4 and at the last float
+    below (q+1)/4, and a RuntimeError names the first whose results differ.
+    """
+    forward, forward_reads, back, back_reads = LEGS[strategy]
+
+    def on_bin(name: str, step, q: float):
+        low, high = step(q / 4), step(nextafter((q + 1) / 4, 0))
+        if low != high:
+            raise RuntimeError(
+                f"{strategy}: the {name} changes inside the quarter bin [{q / 4}, {(q + 1) / 4}), "
+                f"{low} at its lower end and {high} at its upper end"
+            )
+        return low
+
+    # a subtree depends only on the inputs of its first step, so it is built
+    # once per distinct input and shared: a table holds 41 to 101 dicts, not
+    # the 341 of a tree with no shared nodes
+    @cache
+    def measured(bob: int, alice: int, final: int, inferred: int | None) -> dict:
+        measure = partial(bell_outcome, CDF[final])
+        return {q: shape_id(0, bob, alice, on_bin("measurement", measure, q), inferred)
+                for q in _QUARTERS}
+
+    @cache
+    def returned(bob: int, alice: int, state: int, memory) -> dict:
+        return {q: measured(bob, alice, *on_bin("return leg", lambda u: back(state, u, memory), q))
+                for q in _QUARTERS}
+
+    @cache
+    def received(bob: int, state: int, memory) -> dict:
+        return {alice: returned(bob, alice, PAULI[state][alice], memory) for alice in _CODES}
+
+    table = {bob: {q: received(bob, *on_bin("forward leg", partial(forward, PAULI[0][bob]), q))
+                   for q in _QUARTERS} for bob in _CODES}
+    entry = _ROUND_TABLES[strategy] = (table, forward_reads, forward_reads + back_reads)
+    return entry
+
+
 def _run_round(
     row: int,
     bob_code: int,
@@ -292,18 +363,26 @@ def _run_round(
     at: int,
     round_id: int,
 ) -> RoundTranscript:
-    """Play one round on ``ROWS[row]`` up to its shape id, on state ids.
+    """Play one round on ``ROWS[row]``: one lookup in the strategy's table.
 
-    The legs and Bob's Bell measurement read ``uniforms`` from position
-    ``at`` on, in that order; a leg that reads none is handed the next one
-    and ignores it.  An IndexError means the row was too short.
+    The forward leg, the return leg and Bob's measurement are handed the
+    uniforms from position ``at`` on, in that order, each the next one its
+    predecessors did not read (a leg that reads none is handed the next
+    one and ignores it).  An IndexError means the row was too short; a
+    ValueError, a code outside 0-3 or a uniform outside [0, 1).
     """
-    forward, forward_reads, back, back_reads = LEGS[strategy]
-    state, memory = forward(PAULI[0][bob_code], uniforms[at])  # Bob encodes the anchor pair
-    at += forward_reads
-    state, inferred = back(PAULI[state][alice_code], uniforms[at], memory)
-    outcome = bell_outcome(CDF[state], uniforms[at + back_reads])
-    return shaped_transcript(round_id, shape_id(row, bob_code, alice_code, outcome, inferred))
+    try:
+        table, back_at, measure_at = _ROUND_TABLES[strategy]
+    except KeyError:
+        table, back_at, measure_at = _round_table(strategy)
+    try:
+        local = table[bob_code][uniforms[at] // 0.25][alice_code][
+            uniforms[at + back_at] // 0.25][uniforms[at + measure_at] // 0.25]
+    except KeyError:
+        raise ValueError(
+            f"round {round_id}: codes must be 0-3 and uniforms lie in [0, 1)"
+        ) from None
+    return shaped_transcript(round_id, row * ROW_STRIDE + local)
 
 
 def run_round_original(

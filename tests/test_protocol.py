@@ -9,12 +9,13 @@ import copy
 import inspect
 import pickle
 from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
+from itertools import product
 
 import pytest
 from conftest import BIT_PAIRS, uniforms
 
 from qdialogue import protocol as protocol_mod
-from qdialogue.adversary import LEGS, NONE, STRATEGIES, EveReport
+from qdialogue.adversary import NONE, STRATEGIES, EveReport
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.protocol import (
     ALICE,
@@ -177,63 +178,50 @@ class TestAnnouncementDiscipline:
 
 
 class TestModeIndependence:
-    def _trace(self, run, strategy, monkeypatch):
-        """Record every state id, uniform and result of the round's channel
-        legs and Bob's Bell measurement."""
-        recorded = []
-        forward, forward_reads, back, back_reads = LEGS[strategy]
-        real_outcome = protocol_mod.bell_outcome
+    """A round's quantum path never depends on the modes: every mode pair
+    gives the same outcome and the same Eve inference, and the table a round
+    is looked up in is keyed by codes and quarter bins alone."""
 
-        def spy_forward(state, u):
-            out = forward(state, u)
-            recorded.append(("forward", state, u, out))
-            return out
+    SEEDS = range(12)
 
-        def spy_back(state, u, memory):
-            out = back(state, u, memory)
-            recorded.append(("back", state, u, memory, out))
-            return out
+    @staticmethod
+    def _physics(t):
+        return t.outcome, t.eve_report and t.eve_report.inferred_alice
 
-        def spy_outcome(cdf, u):
-            out = real_outcome(cdf, u)
-            recorded.append(("bell", cdf, u, out))
-            return out
-
-        monkeypatch.setitem(LEGS, strategy, (spy_forward, forward_reads, spy_back, back_reads))
-        monkeypatch.setattr(protocol_mod, "bell_outcome", spy_outcome)
-        transcript = run()
-        monkeypatch.undo()
-        return recorded, transcript
-
-    def test_original_trace_ignores_mode(self, monkeypatch):
-        bob, alice = 2, 1
+    def test_original_round_ignores_mode(self):
         for strategy in STRATEGIES:
-            traces = {}
-            for mode in ALL_MODES:
-                traces[mode], _ = self._trace(
-                    lambda m=mode: run_round_original(bob, m, alice, strategy, uniforms(17)),
-                    strategy,
-                    monkeypatch,
-                )
-            assert len(traces[Mode.MM]) == 3
-            assert traces[Mode.MM] == traces[Mode.CM], strategy
+            for bob, alice in product(range(4), repeat=2):
+                for seed in self.SEEDS:
+                    row = uniforms(seed)
+                    results = {self._physics(run_round_original(bob, mode, alice, strategy, row))
+                               for mode in ALL_MODES}
+                    assert len(results) == 1, (strategy, bob, alice, seed)
 
-    def test_modified_trace_ignores_modes(self, monkeypatch):
-        bob, alice = 3, 2
+    def test_modified_round_ignores_modes(self):
         for strategy in STRATEGIES:
-            traces = []
-            for bob_mode in ALL_MODES:
-                for alice_mode in ALL_MODES:
-                    trace, _ = self._trace(
-                        lambda bm=bob_mode, am=alice_mode: run_round_modified(
-                            bm, bob, am, alice, strategy, uniforms(23)
-                        ),
-                        strategy,
-                        monkeypatch,
-                    )
-                    traces.append(trace)
-            assert len(traces[0]) == 3
-            assert all(t == traces[0] for t in traces), strategy
+            for bob, alice in product(range(4), repeat=2):
+                for seed in self.SEEDS:
+                    row = uniforms(seed)
+                    results = {
+                        self._physics(run_round_modified(bob_mode, bob, alice_mode, alice,
+                                                         strategy, row))
+                        for bob_mode, alice_mode in product(ALL_MODES, repeat=2)
+                    }
+                    assert len(results) == 1, (strategy, bob, alice, seed)
+
+    def test_the_table_key_takes_no_mode(self):
+        # table[bob code][forward bin][alice code][return bin][measurement bin],
+        # each digit 0-3, and nothing else
+        for strategy in STRATEGIES:
+            table = protocol_mod._round_table(strategy)[0]
+            paths = set()
+            for bob, by_forward in table.items():
+                for q_forward, by_alice in by_forward.items():
+                    for alice, by_back in by_alice.items():
+                        for q_back, by_measure in by_back.items():
+                            paths.update((bob, q_forward, alice, q_back, q)
+                                         for q in by_measure)
+            assert paths == set(product(range(4), repeat=5)), strategy
 
 
 class TestTranscriptInvariants:
