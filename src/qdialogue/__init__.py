@@ -15,13 +15,10 @@ from .bell_core import (
     ALL_INDICES,
     BellIndex,
     PauliCode,
-    PhasedPauli,
-    Qubit,
     TwoQubitState,
     apply_pauli,
     bell_measure,
     bell_state,
-    compose,
     decode_bits,
     measure_computational,
     overlap,

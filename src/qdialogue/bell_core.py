@@ -6,14 +6,15 @@ two-bit operator dictionary is
 
     U00 = I,  U01 = X,  U10 = iY,  U11 = Z,
 
-all four of which are real matrices, so products of them only ever pick up
-a sign.  Bell states are labelled by the code that creates them from the
+all four of them real matrices.  Every step a party or Eve takes acts on
+the travel qubit, the one that crosses the channel: the encodings, Eve's
+tap and her replayed code.  So ``apply_pauli`` applies I ⊗ U_code and
+``measure_computational`` reads the travel bit; the home qubit is read
+only by Bell measurements of a whole pair (Bob's, and Eve's of her own
+pair).  Bell states are labelled by the code that creates them from the
 anchor pair:
 
-    bell_state(x, y) = (I ⊗ U_xy) |ψ00⟩,   |ψ00⟩ = (|01⟩ + |10⟩) / √2,
-
-i.e. the encoding always acts on the travel qubit, the one a party is
-physically holding when they encode.
+    bell_state(x, y) = (I ⊗ U_xy) |ψ00⟩,   |ψ00⟩ = (|01⟩ + |10⟩) / √2.
 
 Every step the protocols take is a stabilizer operation, so the round
 engine only ever reaches a finite set of states: closing the four Bell
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Protocol
 
@@ -62,17 +62,6 @@ class UniformSource(Protocol):
 
     def random(self) -> float:
         """One uniform draw in [0, 1)."""
-
-
-class Qubit(Enum):
-    """Which member of the pair an operation targets."""
-
-    HOME = "home"
-    TRAVEL = "travel"
-
-    # members are singletons compared by identity, so the identity hash is
-    # correct, and it is much cheaper than Enum's hash of the member name
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -105,21 +94,6 @@ class BellIndex:
     def __iter__(self):
         yield self.x
         yield self.y
-
-
-_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
-
-
-@dataclass(frozen=True)
-class PhasedPauli:
-    """An encoding operator together with the global phase of a product."""
-
-    code: PauliCode
-    phase: complex
-
-    def __post_init__(self) -> None:
-        if self.phase not in _PHASES:
-            raise ValueError(f"phase must be one of 1, -1, i, -i, got {self.phase!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,32 +132,20 @@ class TwoQubitState:
 ALL_CODES = (PauliCode(0, 0), PauliCode(0, 1), PauliCode(1, 0), PauliCode(1, 1))
 ALL_INDICES = (BellIndex(0, 0), BellIndex(0, 1), BellIndex(1, 0), BellIndex(1, 1))
 
-_SINGLE = {
-    PauliCode(0, 0): np.eye(2, dtype=np.complex128),
-    PauliCode(0, 1): np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    # iY is real: [[0, 1], [-1, 0]]
-    PauliCode(1, 0): np.array([[0, 1], [-1, 0]], dtype=np.complex128),
-    PauliCode(1, 1): np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-_OPS = {}
-for _code, _u in _SINGLE.items():
-    _OPS[(_code, Qubit.TRAVEL)] = np.kron(np.eye(2), _u)
-    _OPS[(_code, Qubit.HOME)] = np.kron(_u, np.eye(2))
+# code -> I ⊗ U_code, U_code on the travel qubit, for U = I, X, iY (real), Z
+_OPS = {code: np.kron(np.eye(2), np.array(u, dtype=np.complex128)) for code, u in zip(ALL_CODES, (
+    [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[1, 0], [0, -1]]))}
 
 _PSI00 = np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2.0)
 
 # states are immutable, so the four Bell states can be shared singletons,
 # listed in ALL_INDICES order: bell_state(x, y) is U_xy on the anchor pair
-_BELL_STATES = tuple(TwoQubitState(_OPS[(code, Qubit.TRAVEL)] @ _PSI00) for code in ALL_CODES)
+_BELL_STATES = tuple(TwoQubitState(_OPS[code] @ _PSI00) for code in ALL_CODES)
 # rows are <bell_idx| so that _BELL_CONJ @ amps gives the four overlaps at once
 _BELL_CONJ = np.array([np.conj(state.amps) for state in _BELL_STATES])
 
-# basis index -> value of the home / travel bit
-_BIT_OF = {
-    Qubit.HOME: np.array([0, 0, 1, 1]),
-    Qubit.TRAVEL: np.array([0, 1, 0, 1]),
-}
+# basis index -> value of the travel bit
+_TRAVEL_BIT = np.array([0, 1, 0, 1])
 
 
 def bell_state(idx: BellIndex) -> TwoQubitState:
@@ -191,20 +153,9 @@ def bell_state(idx: BellIndex) -> TwoQubitState:
     return _BELL_STATES[2 * idx.x + idx.y]
 
 
-def apply_pauli(state: TwoQubitState, code: PauliCode, target: Qubit) -> TwoQubitState:
-    """Apply the 2x2 operator U_code to the chosen qubit of ``state``."""
-    return TwoQubitState(_OPS[(code, target)] @ state.amps)
-
-
-def compose(outer: PauliCode, inner: PauliCode) -> PhasedPauli:
-    """Return phase and code with U_outer . U_inner = phase * U_code.
-
-    Uses the ZX normal form U_kl = Z^k X^(k xor l); commuting the X factor
-    of the outer operator past the Z factor of the inner one costs a sign,
-    and that is the only phase that can appear (all four U's are real).
-    """
-    sign = -1.0 if ((outer.k ^ outer.l) & inner.k) else 1.0
-    return PhasedPauli(PauliCode(outer.k ^ inner.k, outer.l ^ inner.l), complex(sign))
+def apply_pauli(state: TwoQubitState, code: PauliCode) -> TwoQubitState:
+    """Apply the 2x2 operator U_code to the travel qubit of ``state``."""
+    return TwoQubitState(_OPS[code] @ state.amps)
 
 
 def bell_outcome(cdf: tuple[float, ...], u: float) -> int:
@@ -226,30 +177,28 @@ def bell_measure(
     return ALL_INDICES[i], _BELL_STATES[i]
 
 
-def _p_one(state: TwoQubitState, target: Qubit) -> float:
-    """P(target bit = 1), exactly 0.0 or 1.0 where a bit has probability 0
+def _p_one(state: TwoQubitState) -> float:
+    """P(travel bit = 1), exactly 0.0 or 1.0 where a bit has probability 0
     (within NORM_ATOL), so that no uniform in [0, 1) draws that bit."""
-    p_one = float((np.abs(state.amps) ** 2)[_BIT_OF[target] == 1].sum())
+    p_one = float((np.abs(state.amps) ** 2)[_TRAVEL_BIT == 1].sum())
     if p_one <= NORM_ATOL:
         return 0.0
     return 1.0 if p_one >= 1.0 - NORM_ATOL else p_one
 
 
-def _collapse(state: TwoQubitState, target: Qubit, bit: int, p_bit: float) -> TwoQubitState:
-    kept = np.where(_BIT_OF[target] == bit, state.amps, 0.0)
+def _collapse(state: TwoQubitState, bit: int, p_bit: float) -> TwoQubitState:
+    kept = np.where(_TRAVEL_BIT == bit, state.amps, 0.0)
     return TwoQubitState(kept / np.sqrt(p_bit))
 
 
-def measure_computational(
-    state: TwoQubitState, target: Qubit, rng: UniformSource
-) -> tuple[int, TwoQubitState]:
-    """Measure one qubit in the computational basis.
+def measure_computational(state: TwoQubitState, rng: UniformSource) -> tuple[int, TwoQubitState]:
+    """Measure the travel qubit in the computational basis.
 
     Returns the sampled bit and the collapsed, renormalized pair state.
     """
-    p_one = _p_one(state, target)
+    p_one = _p_one(state)
     bit = 1 if rng.random() < p_one else 0
-    return bit, _collapse(state, target, bit, p_one if bit else 1.0 - p_one)
+    return bit, _collapse(state, bit, p_one if bit else 1.0 - p_one)
 
 
 def decode_bits(outcome: BellIndex, own: PauliCode) -> PauliCode:
@@ -309,11 +258,11 @@ def _tabulate() -> tuple[tuple, ...]:
         intern(root)
     pauli, cdf, tap = [], [], []
     for state in states:  # grows while the steps find new states
-        pauli.append(tuple(intern(apply_pauli(state, code, Qubit.TRAVEL)) for code in ALL_CODES))
+        pauli.append(tuple(intern(apply_pauli(state, code)) for code in ALL_CODES))
         cdf.append(tuple(map(_exact, state.bell_cdf)))
-        p_one = _exact(_p_one(state, Qubit.TRAVEL))
+        p_one = _exact(_p_one(state))
         tap.append((p_one,) + tuple(
-            intern(_collapse(state, Qubit.TRAVEL, bit, p_bit)) if p_bit else None
+            intern(_collapse(state, bit, p_bit)) if p_bit else None
             for bit, p_bit in enumerate((1.0 - p_one, p_one))
         ))
     return tuple(states), ids, tuple(pauli), tuple(cdf), tuple(tap)

@@ -47,7 +47,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adversary import BELL_SUBSTITUTION, DISTURBANCE, MEASURE_RESEND, NONE, STRATEGIES
+from .adversary import DISTURBANCE, MEASURE_RESEND, NONE, STRATEGIES
 from .bell_core import ALL_CODES, BellIndex, PauliCode
 from .protocol import (
     ORIGINAL,
@@ -186,10 +186,10 @@ def rounds_from_rows(
     The config and ``first_round`` are validated on the call, before any row
     is read; a bad one raises ``ConfigurationError``.  Every uniform of a row
     must lie in [0, 1): a round reads each one after the modes only through
-    its quarter bin floor(4u).  The channel's and the measurement's uniforms
-    are looked up by their bins (see ``protocol``), so one of them outside
-    [0, 1) raises ``ValueError``.  A row too short for its round raises
-    ``RowOverdrawError``.
+    its quarter bin floor(4u).  The codes' uniforms, the channel's and the
+    measurement's are looked up by their bins (see ``protocol``), so one of
+    them outside [0, 1) raises ``ValueError``.  A row too short for its
+    round raises ``RowOverdrawError``.
     """
     config.validate()
     if not _is_int(first_round) or first_round < 0:
@@ -234,12 +234,12 @@ def _play_rows(
             if bob_carries and bob_queue:
                 bob_code = bob_queue.popleft()
             else:
-                bob_code = int(4 * row[at])
+                bob_code = row[at] // 0.25
                 at += 1
             if alice_carries and alice_queue:
                 alice_code = alice_queue.popleft()
             else:
-                alice_code = int(4 * row[at])
+                alice_code = row[at] // 0.25
                 at += 1
             if original:
                 t = run_round_original(bob_code, alice_mode, alice_code, strategy, row, at,
@@ -417,11 +417,10 @@ def _strategy_branches(
                 pair = (BellIndex(0, 1), BellIndex(1, 0))
             branches.extend((Fraction(1, 4), idx, None) for idx in pair)
         return branches
-    if strategy == BELL_SUBSTITUTION:
-        # Eve's own pair is a Bell eigenstate after Alice encodes, so her
-        # inference is deterministic and her replay restores the honest index.
-        return [(Fraction(1, 4), honest, alice) for _ in ALL_CODES]
-    raise ConfigurationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    # BELL_SUBSTITUTION, the one strategy left (``exact_oracle`` checks it):
+    # Eve's own pair is a Bell eigenstate after Alice encodes, so her
+    # inference is deterministic and her replay restores the honest index.
+    return [(Fraction(1, 4), honest, alice) for _ in ALL_CODES]
 
 
 def exact_oracle(protocol: str, strategy: str) -> OracleResult:

@@ -297,10 +297,11 @@ def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     return t
 
 
-_CODES = range(4)  # ALL_CODES positions
 # the quarter bins of u in [0, 1), as floats: a round computes the bin
 # floor(4u) as u // 0.25, which is exact and cheaper than int(4 * u), and a
-# float key is found faster by a float than an int key is
+# float key is found faster by a float than an int key is.  A code is the
+# bin of its uniform too, so the code levels are keyed by these floats (an
+# int code from a text queue hashes and compares equal to its float)
 _QUARTERS = (0.0, 1.0, 2.0, 3.0)
 # strategy -> (table, position of the return leg's uniform, of the
 # measurement's), relative to a round's first channel uniform; filled on
@@ -346,10 +347,11 @@ def _round_table(strategy: str) -> tuple[dict, int, int]:
 
     @cache
     def received(bob: int, state: int, memory) -> dict:
-        return {alice: returned(bob, alice, PAULI[state][alice], memory) for alice in _CODES}
+        return {code: returned(bob, alice, PAULI[state][alice], memory)
+                for alice, code in enumerate(_QUARTERS)}
 
-    table = {bob: {q: received(bob, *on_bin("forward leg", partial(forward, PAULI[0][bob]), q))
-                   for q in _QUARTERS} for bob in _CODES}
+    table = {code: {q: received(bob, *on_bin("forward leg", partial(forward, PAULI[0][bob]), q))
+                    for q in _QUARTERS} for bob, code in enumerate(_QUARTERS)}
     entry = _ROUND_TABLES[strategy] = (table, forward_reads, forward_reads + back_reads)
     return entry
 
@@ -398,7 +400,8 @@ def run_round_original(
 ) -> RoundTranscript:
     """Execute one round of the original protocol (Bob is always in MM).
 
-    Codes are ALL_CODES positions.  ``alice_code`` is Alice's message in MM
+    Codes are ALL_CODES positions, as ints or as the equal floats (quarter
+    bins) that the harness draws.  ``alice_code`` is Alice's message in MM
     or her sacrificial random bits in CM; ``bob_code`` is always Bob's
     payload for the round.  The channel plays ``strategy``, and the round's
     measurements read ``uniforms`` from position ``at`` on.  With

@@ -33,14 +33,11 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 U_ORACLE = {(0, 0): I2, (0, 1): SX, (1, 0): 1j * SY, (1, 1): SZ}
 
 PSI00 = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+TRAVEL_BIT = np.array([0, 1, 0, 1])  # basis index -> value of the travel bit
 
 
 def on_travel(u: np.ndarray) -> np.ndarray:
     return np.kron(I2, u)
-
-
-def on_home(u: np.ndarray) -> np.ndarray:
-    return np.kron(u, I2)
 
 
 def oracle_bell(x: int, y: int) -> np.ndarray:

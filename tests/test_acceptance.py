@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import BIT_PAIRS, U_ORACLE, oracle_bell, uniforms
+from conftest import BIT_PAIRS, PSI00, U_ORACLE, on_travel, oracle_bell, uniforms
 
 from qdialogue.adversary import BELL_SUBSTITUTION, NONE, STRATEGIES
 from qdialogue.bell_core import (
@@ -22,19 +22,18 @@ from qdialogue.bell_core import (
     ALL_INDICES,
     BellIndex,
     PauliCode,
-    Qubit,
     apply_pauli,
     bell_measure,
     bell_state,
-    compose,
     overlap,
 )
 from qdialogue.cli import main
 from qdialogue.harness import (
     RunConfig,
     exact_oracle,
+    iter_rounds,
     parse_transcript_line,
-    run_sessions,
+    summarize,
     transcript_to_line,
 )
 from qdialogue.protocol import (
@@ -62,16 +61,19 @@ def criterion(num, message):
 
 @pytest.fixture(scope="module")
 def mc():
-    """Cache of full-size Monte Carlo summaries keyed by configuration."""
+    """Cache of full-size Monte Carlo summaries keyed by configuration.
+
+    A run's rounds are streamed into its summary, so no run holds its
+    transcripts.
+    """
     cache = {}
 
     def get(protocol, strategy, p_cm=0.5, seed=11, rounds=MC_ROUNDS):
         key = (protocol, strategy, p_cm, seed, rounds)
         if key not in cache:
-            summary, _ = run_sessions(
+            cache[key] = summarize(iter_rounds(
                 RunConfig(protocol=protocol, strategy=strategy, rounds=rounds, p_cm=p_cm, seed=seed)
-            )
-            cache[key] = summary
+            ))
         return cache[key]
 
     return get
@@ -144,9 +146,9 @@ def test_criterion_3_replay_attack_reproduction(mc):
         assert summary.eve_alice_accuracy == 1.0
 
         # and at a second seed, smaller but still exact
-        other, _ = run_sessions(
+        other = summarize(iter_rounds(
             RunConfig(strategy=BELL_SUBSTITUTION, rounds=20_000, p_cm=0.5, seed=99)
-        )
+        ))
         assert other.detection_rate == 0.0
         assert other.eve_alice_accuracy == 1.0
 
@@ -164,14 +166,14 @@ def test_criterion_4_baseline_attacks_detectable(mc):
 
 def test_criterion_5_pauli_bell_algebra():
     with criterion(5, "composition, orthonormality and encoding law at stated tolerances"):
-        # all 16 composition pairs against direct matrix products
+        # all 16 composition pairs: two encodings in turn on the travel
+        # qubit against the direct matrix product, sign included
         for ko, lo in BIT_PAIRS:
             for ki, li in BIT_PAIRS:
-                got = compose(PauliCode(ko, lo), PauliCode(ki, li))
-                assert got.code == PauliCode(ko ^ ki, lo ^ li)
-                product = U_ORACLE[(ko, lo)] @ U_ORACLE[(ki, li)]
-                rebuilt = got.phase * U_ORACLE[(got.code.k, got.code.l)]
-                assert np.max(np.abs(rebuilt - product)) <= 1e-12
+                inner = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(ki, li))
+                got = apply_pauli(inner, PauliCode(ko, lo))
+                product = on_travel(U_ORACLE[(ko, lo)] @ U_ORACLE[(ki, li)]) @ PSI00
+                assert np.max(np.abs(got.amps - product)) <= 1e-12
 
         # Bell basis orthonormality
         for a in ALL_INDICES:
@@ -182,7 +184,7 @@ def test_criterion_5_pauli_bell_algebra():
         # encoding law, exhaustive, up to a unit-modulus global phase
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                got = apply_pauli(bell_state(BellIndex(k, l)), PauliCode(i, j), Qubit.TRAVEL)
+                got = apply_pauli(bell_state(BellIndex(k, l)), PauliCode(i, j))
                 inner = overlap(bell_state(BellIndex(i ^ k, j ^ l)), got)
                 assert abs(abs(inner) - 1.0) <= 1e-9
 
@@ -193,7 +195,7 @@ def test_criterion_6_sampling_correctness():
 
         # anchor pair after each of the four encodings: deterministic outcome
         for code in ALL_CODES:
-            state = apply_pauli(bell_state(BellIndex(0, 0)), code, Qubit.TRAVEL)
+            state = apply_pauli(bell_state(BellIndex(0, 0)), code)
             rng = np.random.default_rng(17)
             hits = sum(
                 bell_measure(state, rng)[0] == BellIndex(code.k, code.l) for _ in range(draws)
@@ -242,9 +244,9 @@ def test_criterion_8_determinism_and_round_trip(capsys):
         config = RunConfig(
             protocol=MODIFIED, strategy=BELL_SUBSTITUTION, rounds=10_000, p_cm=0.5, seed=42
         )
-        s1, t1 = run_sessions(config)
-        s2, t2 = run_sessions(config)
-        assert s1 == s2
+        t1 = list(iter_rounds(config))
+        t2 = list(iter_rounds(config))
+        assert summarize(t1) == summarize(t2)
         lines1 = "\n".join(transcript_to_line(t) for t in t1)
         lines2 = "\n".join(transcript_to_line(t) for t in t2)
         assert lines1 == lines2
@@ -259,10 +261,9 @@ def test_criterion_8_determinism_and_round_trip(capsys):
         # every emitted line parses back losslessly
         for protocol in PROTOCOLS:
             for strategy in STRATEGIES:
-                _, transcripts = run_sessions(
+                for t in iter_rounds(
                     RunConfig(protocol=protocol, strategy=strategy, rounds=400, p_cm=0.5, seed=3)
-                )
-                for t in transcripts:
+                ):
                     assert parse_transcript_line(transcript_to_line(t)) == t
 
 

@@ -32,7 +32,6 @@ from qdialogue.bell_core import (
     TAP,
     BellIndex,
     PauliCode,
-    Qubit,
     TwoQubitState,
     apply_pauli,
     bell_measure,
@@ -104,8 +103,8 @@ class TestTransparency:
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_none_strategy_matches_bare_channel(self, seed):
         # the same exchange on states with no channel in between
-        encoded = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 0), Qubit.TRAVEL)
-        encoded = apply_pauli(encoded, PauliCode(0, 1), Qubit.TRAVEL)
+        encoded = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 0))
+        encoded = apply_pauli(encoded, PauliCode(0, 1))
         bare, _ = bell_measure(encoded, np.random.default_rng(seed))
         for mode in (Mode.MM, Mode.CM):
             t = run_round_original(2, mode, 1, NONE, uniforms(seed))
@@ -137,7 +136,7 @@ class TestBellSubstitution:
             channel = AdversaryChannel(BELL_SUBSTITUTION)
             rng = FixedRng(code_uniform(1, 0))
             handed = channel.on_forward(bell_state(BellIndex(k, l)), rng)
-            encoded = apply_pauli(handed, PauliCode(0, 1), Qubit.TRAVEL)
+            encoded = apply_pauli(handed, PauliCode(0, 1))
             delivered = channel.on_return(encoded, rng)
             assert channel.inferred_alice == PauliCode(0, 1)
             inner = overlap(bell_state(BellIndex(k, l ^ 1)), delivered)
@@ -173,7 +172,7 @@ class TestBellSubstitution:
         rng = FixedRng(code_uniform(0, 1))
         handed = channel.on_forward(bell_state(BellIndex(0, 0)), rng)
         assert channel.memory is not None
-        encoded = apply_pauli(handed, PauliCode(1, 1), Qubit.TRAVEL)
+        encoded = apply_pauli(handed, PauliCode(1, 1))
         channel.on_return(encoded, rng)
         assert channel.memory is None
         assert channel.inferred_alice == PauliCode(1, 1)
@@ -285,7 +284,7 @@ class TestChannelOrdering:
         # finds its class all the same
         channel = AdversaryChannel(MEASURE_RESEND)
         handed = channel.on_forward(bell_state(BellIndex(0, 0)), FixedRng(0.25))  # |01>
-        encoded = apply_pauli(handed, PauliCode(1, 0), Qubit.TRAVEL)  # iY|01> = -|00>
+        encoded = apply_pauli(handed, PauliCode(1, 0))  # iY|01> = -|00>
         assert all(encoded is not state for state in REACHABLE)
         delivered = channel.on_return(encoded, FixedRng(0.5))
         assert abs(abs(overlap(delivered, encoded)) - 1.0) <= 1e-12

@@ -10,9 +10,9 @@ import pytest
 from conftest import (
     BIT_PAIRS,
     PSI00,
+    TRAVEL_BIT,
     U_ORACLE,
     codes,
-    on_home,
     on_travel,
     oracle_bell,
     seeds,
@@ -29,13 +29,10 @@ from qdialogue.bell_core import (
     REACHABLE,
     BellIndex,
     PauliCode,
-    PhasedPauli,
-    Qubit,
     TwoQubitState,
     apply_pauli,
     bell_measure,
     bell_state,
-    compose,
     decode_bits,
     measure_computational,
     overlap,
@@ -97,26 +94,24 @@ class TestBellState:
 class TestApplyPauli:
     def test_identity_leaves_state_unchanged(self):
         state = bell_state(BellIndex(0, 0))
-        out = apply_pauli(state, PauliCode(0, 0), Qubit.TRAVEL)
+        out = apply_pauli(state, PauliCode(0, 0))
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_x_on_travel_gives_x_pair(self):
-        out = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(0, 1), Qubit.TRAVEL)
+        out = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(0, 1))
         np.testing.assert_allclose(out.amps, bell_state(BellIndex(0, 1)).amps, atol=1e-12)
 
     def test_iy_on_travel_gives_y_pair_up_to_phase(self):
-        out = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 0), Qubit.TRAVEL)
+        out = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 0))
         expected = oracle_bell(1, 0)  # (|00> - |11>)/sqrt(2)
         np.testing.assert_allclose(expected, [INV_SQRT2, 0, 0, -INV_SQRT2], atol=1e-12)
         inner = np.vdot(expected, out.amps)
         assert abs(abs(inner) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("code", ALL_CODES)
-    @pytest.mark.parametrize("target", [Qubit.HOME, Qubit.TRAVEL])
-    def test_matches_matrix_oracle_on_anchor(self, code, target):
-        lift = on_travel if target is Qubit.TRAVEL else on_home
-        expected = lift(U_ORACLE[(code.k, code.l)]) @ PSI00
-        got = apply_pauli(bell_state(BellIndex(0, 0)), code, target)
+    def test_matches_matrix_oracle_on_anchor(self, code):
+        expected = on_travel(U_ORACLE[(code.k, code.l)]) @ PSI00
+        got = apply_pauli(bell_state(BellIndex(0, 0)), code)
         np.testing.assert_allclose(got.amps, expected, atol=1e-12)
 
     def test_encoding_law_exhaustive(self):
@@ -124,41 +119,17 @@ class TestApplyPauli:
         # up to a unit phase; check against direct matrix products.
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                got = apply_pauli(bell_state(BellIndex(k, l)), PauliCode(i, j), Qubit.TRAVEL)
+                got = apply_pauli(bell_state(BellIndex(k, l)), PauliCode(i, j))
                 expected = on_travel(U_ORACLE[(i, j)]) @ oracle_bell(k, l)
                 np.testing.assert_allclose(got.amps, expected, atol=1e-12)
                 inner = overlap(bell_state(BellIndex(i ^ k, j ^ l)), got)
                 assert abs(abs(inner) - 1.0) <= 1e-9
 
     @settings(max_examples=60)
-    @given(two_qubit_states(), codes, st.sampled_from([Qubit.HOME, Qubit.TRAVEL]))
-    def test_norm_preserved_on_random_states(self, state, code, target):
-        out = apply_pauli(state, code, target)
+    @given(two_qubit_states(), codes)
+    def test_norm_preserved_on_random_states(self, state, code):
+        out = apply_pauli(state, code)
         assert abs(np.vdot(out.amps, out.amps).real - 1.0) <= 1e-9
-
-
-class TestCompose:
-    def test_identity_composition(self):
-        got = compose(PauliCode(0, 0), PauliCode(1, 0))
-        assert got == PhasedPauli(PauliCode(1, 0), 1 + 0j)
-
-    def test_x_after_iy(self):
-        # sigma_x . (i sigma_y) = -sigma_z
-        got = compose(PauliCode(0, 1), PauliCode(1, 0))
-        assert got == PhasedPauli(PauliCode(1, 1), -1 + 0j)
-
-    def test_iy_squared(self):
-        got = compose(PauliCode(1, 0), PauliCode(1, 0))
-        assert got == PhasedPauli(PauliCode(0, 0), -1 + 0j)
-
-    def test_all_pairs_match_matrix_products(self):
-        for ko, lo in BIT_PAIRS:
-            for ki, li in BIT_PAIRS:
-                got = compose(PauliCode(ko, lo), PauliCode(ki, li))
-                assert got.code == PauliCode(ko ^ ki, lo ^ li)
-                product = U_ORACLE[(ko, lo)] @ U_ORACLE[(ki, li)]
-                rebuilt = got.phase * U_ORACLE[(got.code.k, got.code.l)]
-                np.testing.assert_allclose(rebuilt, product, atol=1e-12)
 
 
 class TestBellMeasure:
@@ -194,7 +165,7 @@ class TestBellMeasure:
         assert abs(counts[BellIndex(0, 0)] / n - 0.5) <= 3 * sigma
 
     def test_encoded_anchor_is_deterministic(self):
-        state = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 1), Qubit.TRAVEL)
+        state = apply_pauli(bell_state(BellIndex(0, 0)), PauliCode(1, 1))
         expected = on_travel(U_ORACLE[(1, 1)]) @ PSI00
         probs = {  # projection oracle
             (x, y): abs(np.vdot(oracle_bell(x, y), expected)) ** 2 for x, y in BIT_PAIRS
@@ -217,7 +188,7 @@ class TestBellMeasure:
 class TestMeasureComputational:
     def test_basis_state_is_deterministic(self):
         state = TwoQubitState([0, 1, 0, 0])  # |01>
-        bit, post = measure_computational(state, Qubit.TRAVEL, np.random.default_rng(0))
+        bit, post = measure_computational(state, np.random.default_rng(0))
         assert bit == 1
         np.testing.assert_allclose(post.amps, [0, 1, 0, 0], atol=1e-12)
 
@@ -226,7 +197,7 @@ class TestMeasureComputational:
         n = 4000
         ones = 0
         for _ in range(n):
-            bit, _ = measure_computational(bell_state(BellIndex(0, 0)), Qubit.TRAVEL, rng)
+            bit, _ = measure_computational(bell_state(BellIndex(0, 0)), rng)
             ones += bit
         sigma = (0.25 / n) ** 0.5
         assert abs(ones / n - 0.5) <= 3 * sigma
@@ -238,23 +209,17 @@ class TestMeasureComputational:
         np.testing.assert_allclose(expected, [0, 1, 0, 0], atol=1e-12)
 
         bit, post = measure_computational(
-            bell_state(BellIndex(0, 0)), Qubit.TRAVEL, _FixedRng(0.3)
+            bell_state(BellIndex(0, 0)), _FixedRng(0.3)
         )
         assert bit == 1
         np.testing.assert_allclose(post.amps, expected, atol=1e-12)
-
-    def test_home_target(self):
-        state = TwoQubitState([0, 0, 1, 0])  # |10>
-        bit, post = measure_computational(state, Qubit.HOME, np.random.default_rng(0))
-        assert bit == 1
-        np.testing.assert_allclose(post.amps, [0, 0, 1, 0], atol=1e-12)
 
     @settings(max_examples=60)
     @given(two_qubit_states(), seeds)
     def test_repeat_measurement_is_stable(self, state, seed):
         rng = np.random.default_rng(seed)
-        bit, post = measure_computational(state, Qubit.TRAVEL, rng)
-        bit2, post2 = measure_computational(post, Qubit.TRAVEL, rng)
+        bit, post = measure_computational(state, rng)
+        bit2, post2 = measure_computational(post, rng)
         assert bit2 == bit
         np.testing.assert_allclose(post2.amps, post.amps, atol=1e-12)
 
@@ -299,10 +264,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             BellIndex(0, -1)
 
-    def test_rejects_bad_phase(self):
-        with pytest.raises(ValueError):
-            PhasedPauli(PauliCode(0, 0), 2 + 0j)
-
 
 class TestRandomStream:
     def test_same_seed_same_draws(self):
@@ -319,16 +280,16 @@ class TestRandomStream:
 class TestMemoizedSteps:
     """The steps against the plain numpy computation from the oracle.
 
-    Random states are not in REACHABLE, so these drive the off-table path.
+    The state functions compute on amplitudes, so random states, which lie
+    outside REACHABLE, check them beyond the reachable classes.
     """
 
     @settings(max_examples=60)
-    @given(two_qubit_states(), codes, st.sampled_from([Qubit.HOME, Qubit.TRAVEL]))
-    def test_apply_pauli(self, state, code, target):
-        lift = on_travel if target is Qubit.TRAVEL else on_home
-        expected = lift(U_ORACLE[(code.k, code.l)]) @ state.amps
+    @given(two_qubit_states(), codes)
+    def test_apply_pauli(self, state, code):
+        expected = on_travel(U_ORACLE[(code.k, code.l)]) @ state.amps
         for _ in range(2):  # nothing is stored, so a repeat call agrees
-            np.testing.assert_allclose(apply_pauli(state, code, target).amps, expected, atol=1e-12)
+            np.testing.assert_allclose(apply_pauli(state, code).amps, expected, atol=1e-12)
 
     @settings(max_examples=60)
     @given(two_qubit_states(), st.floats(0, 1, exclude_max=True))
@@ -345,25 +306,17 @@ class TestMemoizedSteps:
             np.testing.assert_allclose(post.amps, oracle_bell(x, y), atol=1e-12)
 
     @settings(max_examples=60)
-    @given(
-        two_qubit_states(),
-        st.sampled_from([Qubit.HOME, Qubit.TRAVEL]),
-        st.floats(0, 1, exclude_max=True),
-    )
-    def test_measure_computational(self, state, target, u):
-        bit_of = np.array([0, 0, 1, 1]) if target is Qubit.HOME else np.array([0, 1, 0, 1])
-        p_one = float(np.sum(np.abs(state.amps[bit_of == 1]) ** 2))
+    @given(two_qubit_states(), st.floats(0, 1, exclude_max=True))
+    def test_measure_computational(self, state, u):
+        p_one = float(np.sum(np.abs(state.amps[TRAVEL_BIT == 1]) ** 2))
         assume(abs(u - p_one) >= 1e-9)
         bit = int(u < p_one)
-        kept = np.where(bit_of == bit, state.amps, 0)
+        kept = np.where(TRAVEL_BIT == bit, state.amps, 0)
         expected = kept / np.linalg.norm(kept)
         for _ in range(2):
-            got, post = measure_computational(state, target, _FixedRng(u))
+            got, post = measure_computational(state, _FixedRng(u))
             assert got == bit
             np.testing.assert_allclose(post.amps, expected, atol=1e-9)
-
-
-TRAVEL_BIT = np.array([0, 1, 0, 1])
 
 
 def same_class(a, b) -> bool:
@@ -425,8 +378,8 @@ class TestStepTables:
         # the statevector route must stay independent of the engine's tables
         def steps():
             return [
-                (apply_pauli(s, code, Qubit.TRAVEL).amps.tobytes(), bell_measure(s, _FixedRng(u)),
-                 measure_computational(s, Qubit.TRAVEL, _FixedRng(u))[0])
+                (apply_pauli(s, code).amps.tobytes(), bell_measure(s, _FixedRng(u)),
+                 measure_computational(s, _FixedRng(u))[0])
                 for s in REACHABLE for code in ALL_CODES for u in (0.0, 0.3, 0.6, 0.99)
             ]
 
@@ -448,17 +401,15 @@ class TestStepTables:
             drawn = 0 if on_one is None else 1
             for phase in (1, -1):
                 state = TwoQubitState(phase * REACHABLE[sid].amps)
-                bit, post = measure_computational(state, Qubit.TRAVEL, _FixedRng(u))
+                bit, post = measure_computational(state, _FixedRng(u))
                 assert bit == drawn
                 assert same_class(post.amps, REACHABLE[(on_zero, on_one)[drawn]].amps)
 
-    @pytest.mark.parametrize("target", [Qubit.HOME, Qubit.TRAVEL])
-    def test_off_table_bit_within_tolerance_of_zero_is_never_drawn(self, target):
-        tiny = 1e-6  # amplitude of the target bit's 1 component: P(1) = 1e-12
-        amps = [np.sqrt(1 - tiny**2), tiny, 0, 0] if target is Qubit.TRAVEL else \
-            [np.sqrt(1 - tiny**2), 0, tiny, 0]
+    def test_off_table_bit_within_tolerance_of_zero_is_never_drawn(self):
+        tiny = 1e-6  # amplitude of the travel bit's 1 component: P(1) = 1e-12
+        amps = [np.sqrt(1 - tiny**2), tiny, 0, 0]
         for u in (0.0, 1 - 2**-53):
-            bit, post = measure_computational(TwoQubitState(amps), target, _FixedRng(u))
+            bit, post = measure_computational(TwoQubitState(amps), _FixedRng(u))
             assert bit == 0
             np.testing.assert_allclose(post.amps, [1, 0, 0, 0], atol=1e-9)
 
@@ -488,13 +439,11 @@ class TestStepTables:
         for _ in range(200):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = TwoQubitState(vec / np.linalg.norm(vec))
-            for target in (Qubit.HOME, Qubit.TRAVEL):
-                apply_pauli(state, ALL_CODES[1], target)
-                measure_computational(state, target, rng)
+            apply_pauli(state, ALL_CODES[1])
+            measure_computational(state, rng)
             bell_measure(state, rng)
         for state in REACHABLE:
-            for target in (Qubit.HOME, Qubit.TRAVEL):
-                apply_pauli(state, ALL_CODES[2], target)
-                measure_computational(state, target, rng)
+            apply_pauli(state, ALL_CODES[2])
+            measure_computational(state, rng)
             bell_measure(state, rng)
         assert tables() == before

@@ -2,10 +2,12 @@
 
 The engine plays a round on state ids (positions in ``bell_core.REACHABLE``)
 with one leg function per strategy and reads its row by position.  The
-reference here plays the same rows on ``TwoQubitState``s: ``bell_state``,
-``apply_pauli``, ``measure_computational`` and ``bell_measure``, a cursor
-handing out the row's uniforms in order, and the four strategies spelled
-out on states.  It builds each transcript field by field from the round's
+reference here plays the same rows on plain amplitude vectors built from
+conftest's literal-matrix oracle (``U_ORACLE``, ``on_travel``,
+``oracle_bell``), with its own Born sampling, so it shares no code with the
+package's amplitude functions or the tables built from them.  A cursor
+hands out the row's uniforms in order, and the four strategies are spelled
+out on vectors.  It builds each transcript field by field from the round's
 ``POLICY`` row.  Both must give the same transcripts, field for field, and
 the same shape ids; a row too short for its round must raise
 ``RowOverdrawError`` on both.
@@ -15,6 +17,8 @@ from collections import deque
 from dataclasses import replace
 
 import hypothesis.strategies as st
+import numpy as np
+from conftest import BIT_PAIRS, TRAVEL_BIT, U_ORACLE, on_travel, oracle_bell
 from hypothesis import given, settings
 
 from qdialogue.adversary import (
@@ -24,18 +28,7 @@ from qdialogue.adversary import (
     STRATEGIES,
     replay_report,
 )
-from qdialogue.bell_core import (
-    ALL_CODES,
-    ALL_INDICES,
-    BellIndex,
-    Qubit,
-    apply_pauli,
-    bell_measure,
-    bell_state,
-    decode_bits,
-    measure_computational,
-    random_code,
-)
+from qdialogue.bell_core import ALL_CODES, ALL_INDICES, decode_bits
 from qdialogue.harness import (
     ROW_WIDTH,
     RowOverdrawError,
@@ -58,8 +51,6 @@ from qdialogue.protocol import (
     shape_id,
 )
 
-TRAVEL = Qubit.TRAVEL
-
 
 class RowCursor:
     """One round's uniforms, handed out in order by ``random()``."""
@@ -74,24 +65,47 @@ class RowCursor:
             raise RowOverdrawError("the reference read past the end of its row") from None
 
 
+def encode(amps, code):
+    """U_code on the travel qubit, from the literal matrices."""
+    return on_travel(U_ORACLE[(code.k, code.l)]) @ amps
+
+
+def random_code(rng):
+    """The code ALL_CODES[floor(4u)] of the next uniform."""
+    return ALL_CODES[int(4 * rng.random())]
+
+
+def tap(amps, rng):
+    """Measure the travel bit (1 iff u < P(1)) and renormalize what is kept."""
+    p_one = float(np.sum(np.abs(amps[TRAVEL_BIT == 1]) ** 2))
+    kept = np.where(TRAVEL_BIT == int(rng.random() < p_one), amps, 0)
+    return kept / np.linalg.norm(kept)
+
+
+def bell_sample(amps, rng):
+    """The Bell outcome of the inverse Born CDF at the next uniform: the
+    first whose cumulative weight exceeds u * total, else the last."""
+    cdf = np.cumsum([abs(np.vdot(oracle_bell(x, y), amps)) ** 2 for x, y in BIT_PAIRS])
+    u = rng.random()
+    return ALL_INDICES[next((i for i, c in enumerate(cdf[:3]) if u * cdf[-1] < c), 3)]
+
+
 def reference_exchange(strategy, bob, alice, rng):
-    """Bob's outcome and Eve's inference of Alice's code (or None), on states."""
-    state = apply_pauli(bell_state(BellIndex(0, 0)), bob, TRAVEL)
+    """Bob's outcome and Eve's inference of Alice's code (or None), on vectors."""
+    state = encode(oracle_bell(0, 0), bob)
     if strategy == MEASURE_RESEND:  # Eve taps the travel qubit on its way out
-        _, state = measure_computational(state, TRAVEL, rng)
+        state = tap(state, rng)
     elif strategy == BELL_SUBSTITUTION:  # Eve keeps Bob's pair, hands Alice her own
         stored, eve_code = state, random_code(rng)
-        state = bell_state(BellIndex(eve_code.k, eve_code.l))
-    state = apply_pauli(state, alice, TRAVEL)
+        state = oracle_bell(eve_code.k, eve_code.l)
+    state = encode(state, alice)
     inferred = None
     if strategy == DISTURBANCE:  # a random code on the way back
-        state = apply_pauli(state, random_code(rng), TRAVEL)
+        state = encode(state, random_code(rng))
     elif strategy == BELL_SUBSTITUTION:  # read Alice's code, replay it on Bob's pair
-        eve_outcome, _ = bell_measure(state, rng)
-        inferred = decode_bits(eve_outcome, eve_code)
-        state = apply_pauli(stored, inferred, TRAVEL)
-    outcome, _ = bell_measure(state, rng)
-    return outcome, inferred
+        inferred = decode_bits(bell_sample(state, rng), eve_code)
+        state = encode(stored, inferred)
+    return bell_sample(state, rng), inferred
 
 
 def reference_rounds(config, rows, first_round):

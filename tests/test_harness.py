@@ -224,6 +224,19 @@ class TestUniformStream:
         assert t.alice_code == PauliCode(1, 1)  # floor(4 * 0.99) = 3
         assert t.outcome == BellIndex(1, 0)  # the honest XOR, with certainty
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("bad", [-0.2, 1.0, float("nan"), float("inf")])
+    def test_a_code_uniform_outside_the_unit_interval_is_refused(self, protocol, bad):
+        # a code is the quarter bin of its uniform, like every other draw, so
+        # -0.2 is bin -1, not code 0, and no bad uniform becomes a code
+        codes_at = 1 if protocol == ORIGINAL else 2  # after the modes
+        for position in (codes_at, codes_at + 1):  # Bob's code, Alice's
+            row = [0.9] * ROW_WIDTH  # both modes MM: both codes read a uniform
+            row[position] = bad
+            rounds = rounds_from_rows(RunConfig(protocol=protocol, rounds=1), [row], 7)
+            with pytest.raises(ValueError, match="^round 7: codes must be 0-3"):
+                next(rounds)
+
 
 def shape(t):
     return (t.protocol, t.bob_mode, t.alice_mode)
