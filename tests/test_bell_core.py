@@ -125,6 +125,23 @@ class TestApplyPauli:
                 inner = overlap(bell_state(BellIndex(i ^ k, j ^ l)), got)
                 assert abs(abs(inner) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_a_code_applied_twice_is_its_square(self, code):
+        # U^2 = I for I, X and Z but (iY)^2 = -I: the sign is kept exactly
+        square = U_ORACLE[tuple(code)] @ U_ORACLE[tuple(code)]
+        sign = -1 if code == PauliCode(1, 0) else 1
+        np.testing.assert_allclose(square, sign * np.eye(2), atol=1e-12)
+        for x, y in BIT_PAIRS:
+            got = apply_pauli(apply_pauli(bell_state(BellIndex(x, y)), code), code)
+            np.testing.assert_allclose(got.amps, sign * oracle_bell(x, y), atol=1e-12)
+
+    @settings(max_examples=60)
+    @given(two_qubit_states(), codes, codes)
+    def test_codes_in_turn_match_the_matrix_product(self, state, inner, outer):
+        got = apply_pauli(apply_pauli(state, inner), outer)
+        product = on_travel(U_ORACLE[tuple(outer)] @ U_ORACLE[tuple(inner)])
+        np.testing.assert_allclose(got.amps, product @ state.amps, atol=1e-12)
+
     @settings(max_examples=60)
     @given(two_qubit_states(), codes)
     def test_norm_preserved_on_random_states(self, state, code):
@@ -213,6 +230,17 @@ class TestMeasureComputational:
         )
         assert bit == 1
         np.testing.assert_allclose(post.amps, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("u, bit", [(0.1, 1), (0.9, 0)])
+    def test_home_qubit_keeps_its_superposition(self, u, bit):
+        # a product of (|0> + i|1>)/sqrt(2) at home and a travel qubit with
+        # P(1) = 0.7: reading the travel bit leaves the home qubit as it was
+        home = np.array([1, 1j]) / np.sqrt(2)
+        travel = np.array([np.sqrt(0.3), np.sqrt(0.7)])
+        state = TwoQubitState(np.kron(home, travel))
+        got, post = measure_computational(state, _FixedRng(u))
+        assert got == bit
+        np.testing.assert_allclose(post.amps, np.kron(home, np.eye(2)[bit]), atol=1e-12)
 
     @settings(max_examples=60)
     @given(two_qubit_states(), seeds)
@@ -412,6 +440,14 @@ class TestStepTables:
             bit, post = measure_computational(TwoQubitState(amps), _FixedRng(u))
             assert bit == 0
             np.testing.assert_allclose(post.amps, [1, 0, 0, 0], atol=1e-9)
+
+    def test_off_table_bit_within_tolerance_of_one_is_always_drawn(self):
+        tiny = 1e-6  # amplitude of the travel bit's 0 component: P(1) = 1 - 1e-12
+        amps = [tiny, np.sqrt(1 - tiny**2), 0, 0]
+        for u in (0.0, 1 - 2**-53):
+            bit, post = measure_computational(TwoQubitState(amps), _FixedRng(u))
+            assert bit == 1
+            np.testing.assert_allclose(post.amps, [0, 1, 0, 0], atol=1e-9)
 
     def test_runs_stay_on_the_tables(self, monkeypatch):
         constructed = []
