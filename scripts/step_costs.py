@@ -16,6 +16,11 @@ change.  This script times each step bare, best of five runs:
   write 10k          ``write_transcripts`` of the same run into a new
                      temporary file, per transcript: a line each, written in
                      blocks to a real file, as ``run --output`` writes them
+  run 10k            ``summarize(iter_rounds(config))`` of the same run, per
+                     round: the engine as ``run`` drives it, each block of
+                     rows binned in numpy, then one ``run_round_*`` call per
+                     round; the ``round P S`` rows below play rows one at a
+                     time, so they do not show the block path
   cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
@@ -35,7 +40,7 @@ from __future__ import annotations
 import tempfile
 import timeit
 from collections import deque
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import starmap
 
 from qdialogue import cli
@@ -69,10 +74,9 @@ def _write_to_file(transcripts) -> None:
 def step_costs(number: int = 200) -> list[tuple[str, float]]:
     """(step, µs per call) for each step above, each over ``number`` batches
     (the 10,000-round run counts as ``LONG_RUN / BATCH`` of them)."""
-    batch, long_run = (
-        list(iter_rounds(RunConfig(protocol=MODIFIED, strategy=STRATEGY, rounds=n, seed=1)))
-        for n in (BATCH, LONG_RUN)
-    )
+    long_config = RunConfig(protocol=MODIFIED, strategy=STRATEGY, rounds=LONG_RUN, seed=1)
+    batch = list(iter_rounds(replace(long_config, rounds=BATCH)))
+    long_run = list(iter_rounds(long_config))
     lines = [transcript_to_line(t) for t in batch]  # fills the line cache
     _drain(map(parse_transcript_line, lines))  # and the parser's
     values = [tuple(getattr(t, f.name) for f in fields(t)) for t in batch]
@@ -95,6 +99,7 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("summarize", lambda: summarize(batch), BATCH),
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
         ("write 10k", lambda: _write_to_file(long_run), LONG_RUN),
+        ("run 10k", lambda: summarize(iter_rounds(long_config)), LONG_RUN),
         ("cli parse", lambda: _drain(map(parser.parse_args, argvs)), BATCH),
         *(engine_round(p, s) for p in PROTOCOLS for s in (NONE, BELL_SUBSTITUTION)),
     ]

@@ -8,18 +8,26 @@ uniforms per run:
     of numpy's Generator(PCG64(seed)).random() stream
 
 Rows are drawn in blocks of ``Generator.random((n, ROW_WIDTH))``, which
-fills them in that order.  A round reads its row by position, in this
-order: the modes (Bob's first; an original round draws Alice's only), Bob's
-code, Alice's code, then the uniforms its channel legs and Bob's
-measurement read (see ``protocol``).  A code taken from a text queue reads
-no uniform, so later positions move up; unread uniforms are skipped, and a
-round that reads past the end of a short row raises ``RowOverdrawError``.
-A code is ALL_CODES[floor(4u)], a mode is CM iff u < p_cm, and a
-measurement outcome is the inverse CDF of its Born probabilities at u.
-Because a round's row depends only on (seed, i), a shorter run is a prefix
-of a longer one, and a chunk of rounds [a, b) can start anywhere with
-``PCG64(seed).advance(a * ROW_WIDTH)`` (see ``uniform_rows``) and be merged
-in any order.
+fills them in that order; ``_blocks`` is the one place the stream is drawn,
+and a run holds one block of at most ``BLOCK_ROWS`` rows at a time.  A
+round reads its row by position, in this order: the modes (Bob's first; an
+original round draws Alice's only), Bob's code, Alice's code, then the
+uniforms its channel legs and Bob's measurement read (see ``protocol``).  A
+code taken from a text queue reads no uniform, so later positions move up;
+unread uniforms are skipped, and a round that reads past the end of a short
+row raises ``RowOverdrawError``.  A code is ALL_CODES[floor(4u)], a mode is
+CM iff u < p_cm, and a measurement outcome is the inverse CDF of its Born
+probabilities at u.
+
+Without a text queue every round reads the same positions, so
+``iter_rounds`` bins each block of a run without text payloads as columns:
+one numpy pass gives every round's modes and codes, and each round is then
+one ``run_round_*`` call.  ``rounds_from_rows`` is the row-at-a-time
+reference route, for any rows and for every run with text payloads; on the
+same rows the two give the same transcripts.  Because a round's row depends
+only on (seed, i), a shorter run is a prefix of a longer one, and a chunk
+of rounds [a, b) can start anywhere with ``PCG64(seed).advance(a *
+ROW_WIDTH)`` (see ``uniform_rows``) and be merged in any order.
 
 The oracle side never touches the statevector simulator: it enumerates the
 finitely many discrete branches of each strategy with exact rational
@@ -40,7 +48,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Real
 from operator import mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -53,10 +61,13 @@ from .protocol import (
     ORIGINAL,
     POLICY,
     PROTOCOLS,
+    QUARTERS,
     ROW_NUMBER,
     ROWS,
     Mode,
     RoundTranscript,
+    channel_reads,
+    draw_error,
     run_round_modified,
     run_round_original,
 )
@@ -165,17 +176,72 @@ def uniform_rows(seed: int, start: int, stop: int) -> Iterator[list[float]]:
         raise ConfigurationError(f"start must be a non-negative integer, got {start!r}")
     if not _is_int(stop) or stop < start:
         raise ConfigurationError(f"stop must be an integer no less than start, got {stop!r}")
+    return chain.from_iterable(block.tolist() for block in _blocks(seed, start, stop))
+
+
+def _blocks(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Rows start .. stop-1 of the stream as arrays of up to BLOCK_ROWS rows,
+    one ``Generator.random`` call each; the arguments are not checked."""
     bit_generator = np.random.PCG64(seed)
     bit_generator.advance(start * ROW_WIDTH)
     generator = np.random.Generator(bit_generator)
-    return chain.from_iterable(generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH)).tolist()
-                               for first in range(start, stop, BLOCK_ROWS))
+    for first in range(start, stop, BLOCK_ROWS):
+        yield generator.random((min(BLOCK_ROWS, stop - first), ROW_WIDTH))
 
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
-    """The run's transcripts, one round at a time; the config is validated first."""
+    """The run's transcripts, one round at a time; the config is validated first.
+
+    A run without text payloads plays each block of rows as columns, with
+    the transcripts ``rounds_from_rows`` gives on the same rows; a run with
+    one plays its rows one at a time, through ``rounds_from_rows``.
+    """
     config.validate()
-    return rounds_from_rows(config, uniform_rows(config.seed, 0, config.rounds))
+    if config.alice_text or config.bob_text:
+        return rounds_from_rows(config, uniform_rows(config.seed, 0, config.rounds))
+    return _play_blocks(config)
+
+
+# a block's modes and codes are gathered from these in numpy, so that each
+# round is handed one of these very objects and no new one is made: a mode by
+# whether its uniform is below p_cm, a code by its quarter bin
+_MODE_OF = np.array((Mode.MM, Mode.CM), dtype=object)
+_CODE_OF = np.array(QUARTERS, dtype=object)
+
+
+def _play_blocks(config: RunConfig) -> Iterator[RoundTranscript]:
+    """``iter_rounds`` of a run without text payloads.
+
+    Without a text queue a round reads fixed positions of its row: the
+    modes, the two codes, then ``channel_reads(strategy)`` channel uniforms.
+    So each block is binned in one numpy pass, column by column, and its
+    rounds are then played by ``map``, one ``run_round_*`` call each,
+    handed the block's channel uniforms from the round's own on.
+    """
+    strategy, p_cm = config.strategy, config.p_cm
+    original = config.protocol == ORIGINAL
+    suppress = config.suppress_outcome_reveal and original
+    codes_at = 1 if original else 2  # an original row holds Alice's mode only
+    channel_at = codes_at + 2
+    width = channel_reads(strategy)
+
+    def block_rounds(first: int, block: np.ndarray) -> Iterator[RoundTranscript]:
+        modes = _MODE_OF[(block[:, :codes_at] < p_cm).T.astype(np.intp)].tolist()
+        bob_codes, alice_codes = \
+            _CODE_OF[(4 * block[:, codes_at:channel_at].T).astype(np.intp)].tolist()
+        channel = block[:, channel_at:channel_at + width].ravel().tolist()
+        starts = range(0, len(channel), width)
+        ids = range(first, first + len(block))
+        if original:
+            (alice_modes,) = modes
+            return map(run_round_original, bob_codes, alice_modes, alice_codes,
+                       repeat(strategy), repeat(channel), starts, ids, repeat(suppress))
+        bob_modes, alice_modes = modes
+        return map(run_round_modified, bob_modes, bob_codes, alice_modes, alice_codes,
+                   repeat(strategy), repeat(channel), starts, ids)
+
+    firsts = range(0, config.rounds, BLOCK_ROWS)
+    return chain.from_iterable(map(block_rounds, firsts, _blocks(config.seed, 0, config.rounds)))
 
 
 def rounds_from_rows(
@@ -183,13 +249,16 @@ def rounds_from_rows(
 ) -> Iterator[RoundTranscript]:
     """Play one round per row of uniforms, numbering them from ``first_round``.
 
-    The config and ``first_round`` are validated on the call, before any row
-    is read; a bad one raises ``ConfigurationError``.  Every uniform of a row
-    must lie in [0, 1): a round reads each one after the modes only through
-    its quarter bin floor(4u).  The codes' uniforms, the channel's and the
-    measurement's are looked up by their bins (see ``protocol``), so one of
-    them outside [0, 1) raises ``ValueError``.  A row too short for its
-    round raises ``RowOverdrawError``.
+    This is the row-at-a-time route: any rows, full or short, one at a time,
+    and the route of every run with text payloads.  The config and
+    ``first_round`` are validated on the call, before any row is read; a
+    bad one raises ``ConfigurationError``.  Every uniform a round reads must
+    lie in [0, 1): a mode's is compared with p_cm, and every other acts
+    only through its quarter bin floor(4u).  The codes' uniforms, the
+    channel's and the measurement's are looked up by their bins (see
+    ``protocol``), so a mode's uniform or one of them outside [0, 1) raises
+    ``ValueError`` when its round is played.  A row too short for its round
+    raises ``RowOverdrawError``.
     """
     config.validate()
     if not _is_int(first_round) or first_round < 0:
@@ -226,8 +295,11 @@ def _play_rows(
 
     for i, row in enumerate(rows, first_round):
         try:
+            first_u, alice_u = row[0], row[alice_at]
+            if not (0.0 <= first_u < 1.0 and 0.0 <= alice_u < 1.0):
+                raise draw_error(i)
             bob_mode, alice_mode, bob_carries, alice_carries = \
-                plan[row[0] < p_cm][row[alice_at] < p_cm]
+                plan[first_u < p_cm][alice_u < p_cm]
             at = alice_at + 1
             # a code carrying a message comes from the party's text while it
             # lasts; any other code reads a uniform

@@ -301,8 +301,10 @@ def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
 # floor(4u) as u // 0.25, which is exact and cheaper than int(4 * u), and a
 # float key is found faster by a float than an int key is.  A code is the
 # bin of its uniform too, so the code levels are keyed by these floats (an
-# int code from a text queue hashes and compares equal to its float)
-_QUARTERS = (0.0, 1.0, 2.0, 3.0)
+# int code from a text queue hashes and compares equal to its float).  A
+# code handed as one of these very objects is found by identity, with no
+# comparison, which is how the harness hands a block's codes
+QUARTERS = (0.0, 1.0, 2.0, 3.0)
 # strategy -> (table, position of the return leg's uniform, of the
 # measurement's), relative to a round's first channel uniform; filled on
 # first use by ``_round_table``
@@ -338,54 +340,44 @@ def _round_table(strategy: str) -> tuple[dict, int, int]:
     def measured(bob: int, alice: int, final: int, inferred: int | None) -> dict:
         measure = partial(bell_outcome, CDF[final])
         return {q: shape_id(0, bob, alice, on_bin("measurement", measure, q), inferred)
-                for q in _QUARTERS}
+                for q in QUARTERS}
 
     @cache
     def returned(bob: int, alice: int, state: int, memory) -> dict:
         return {q: measured(bob, alice, *on_bin("return leg", lambda u: back(state, u, memory), q))
-                for q in _QUARTERS}
+                for q in QUARTERS}
 
     @cache
     def received(bob: int, state: int, memory) -> dict:
         return {code: returned(bob, alice, PAULI[state][alice], memory)
-                for alice, code in enumerate(_QUARTERS)}
+                for alice, code in enumerate(QUARTERS)}
 
     table = {code: {q: received(bob, *on_bin("forward leg", partial(forward, PAULI[0][bob]), q))
-                    for q in _QUARTERS} for bob, code in enumerate(_QUARTERS)}
+                    for q in QUARTERS} for bob, code in enumerate(QUARTERS)}
     entry = _ROUND_TABLES[strategy] = (table, forward_reads, forward_reads + back_reads)
     return entry
 
 
-def _run_round(
-    row: int,
-    bob_code: int,
-    alice_code: int,
-    strategy: str,
-    uniforms: Sequence[float],
-    at: int,
-    round_id: int,
-) -> RoundTranscript:
-    """Play one round on ``ROWS[row]``: one lookup in the strategy's table.
-
-    The forward leg, the return leg and Bob's measurement are handed the
-    uniforms from position ``at`` on, in that order, each the next one its
-    predecessors did not read (a leg that reads none is handed the next
-    one and ignores it).  An IndexError means the row was too short; a
-    ValueError, a code outside 0-3 or a uniform outside [0, 1).
-    """
+def channel_reads(strategy: str) -> int:
+    """How many uniforms a round under ``strategy`` reads from position
+    ``at`` on: the forward leg's, the return leg's and the measurement's
+    (see ``run_round_original``)."""
     try:
-        table, back_at, measure_at = _ROUND_TABLES[strategy]
+        _, _, measure_at = _ROUND_TABLES[strategy]
     except KeyError:
-        table, back_at, measure_at = _round_table(strategy)
-    try:
-        local = table[bob_code][uniforms[at] // 0.25][alice_code][
-            uniforms[at + back_at] // 0.25][uniforms[at + measure_at] // 0.25]
-    except KeyError:
-        raise ValueError(
-            f"round {round_id}: codes must be 0-3 and uniforms lie in [0, 1)"
-        ) from None
-    return shaped_transcript(round_id, row * ROW_STRIDE + local)
+        _, _, measure_at = _round_table(strategy)
+    return measure_at + 1
 
+
+def draw_error(round_id: int) -> ValueError:
+    """The error of round ``round_id`` drawn from a code outside 0-3 or a
+    uniform outside [0, 1)."""
+    return ValueError(f"round {round_id}: codes must be 0-3 and uniforms lie in [0, 1)")
+
+
+# Both round functions play a round on its ``ROWS`` row as one lookup in the
+# strategy's table, each written out in full: a round is the hot path of
+# every run, and a shared helper would cost each round one more call.
 
 def run_round_original(
     bob_code: int,
@@ -394,7 +386,6 @@ def run_round_original(
     strategy: str,
     uniforms: Sequence[float],
     at: int = 0,
-    *,
     round_id: int = 0,
     suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
@@ -403,14 +394,29 @@ def run_round_original(
     Codes are ALL_CODES positions, as ints or as the equal floats (quarter
     bins) that the harness draws.  ``alice_code`` is Alice's message in MM
     or her sacrificial random bits in CM; ``bob_code`` is always Bob's
-    payload for the round.  The channel plays ``strategy``, and the round's
-    measurements read ``uniforms`` from position ``at`` on.  With
+    payload for the round.  The channel plays ``strategy``: the forward
+    leg, the return leg and Bob's measurement are handed the ``uniforms``
+    from position ``at`` on, in that order, each the next one its
+    predecessors did not read (a leg that reads none is handed the next one
+    and ignores it), ``channel_reads(strategy)`` in all.  With
     ``suppress_outcome_reveal`` the outcome still reaches Alice (modelled
     as an out-of-band private reveal) but is omitted from the public
     announcements, which is what an eavesdropper reads.
+
+    An IndexError means ``uniforms`` ran out; a ValueError, a code outside
+    0-3 or a uniform outside [0, 1).
     """
     row = _ORIGINAL_ROW[alice_mode][suppress_outcome_reveal]
-    return _run_round(row, bob_code, alice_code, strategy, uniforms, at, round_id)
+    try:
+        table, back_at, measure_at = _ROUND_TABLES[strategy]
+    except KeyError:
+        table, back_at, measure_at = _round_table(strategy)
+    try:
+        local = table[bob_code][uniforms[at] // 0.25][alice_code][
+            uniforms[at + back_at] // 0.25][uniforms[at + measure_at] // 0.25]
+    except KeyError:
+        raise draw_error(round_id) from None
+    return shaped_transcript(round_id, row * ROW_STRIDE + local)
 
 
 def run_round_modified(
@@ -421,13 +427,22 @@ def run_round_modified(
     strategy: str,
     uniforms: Sequence[float],
     at: int = 0,
-    *,
     round_id: int = 0,
 ) -> RoundTranscript:
     """Execute one round of the modified dual-mode protocol.
 
-    Arguments as for ``run_round_original``.  CM codes for either party are
-    expected to be uniform random (the caller supplies them).
+    Arguments and errors as for ``run_round_original``.  CM codes for
+    either party are expected to be uniform random (the caller supplies
+    them).
     """
     row = _MODIFIED_ROW[bob_mode][alice_mode]
-    return _run_round(row, bob_code, alice_code, strategy, uniforms, at, round_id)
+    try:
+        table, back_at, measure_at = _ROUND_TABLES[strategy]
+    except KeyError:
+        table, back_at, measure_at = _round_table(strategy)
+    try:
+        local = table[bob_code][uniforms[at] // 0.25][alice_code][
+            uniforms[at + back_at] // 0.25][uniforms[at + measure_at] // 0.25]
+    except KeyError:
+        raise draw_error(round_id) from None
+    return shaped_transcript(round_id, row * ROW_STRIDE + local)

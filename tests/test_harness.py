@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from qdialogue.adversary import BELL_SUBSTITUTION, STRATEGIES
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.harness import (
+    BLOCK_ROWS,
     LINES_PER_WRITE,
     ROW_WIDTH,
     SUMMARY_COLUMNS,
@@ -224,18 +225,44 @@ class TestUniformStream:
         assert t.alice_code == PauliCode(1, 1)  # floor(4 * 0.99) = 3
         assert t.outcome == BellIndex(1, 0)  # the honest XOR, with certainty
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize(
+        "protocol, position",
+        [(ORIGINAL, 0), (ORIGINAL, 1), (ORIGINAL, 2),
+         (MODIFIED, 0), (MODIFIED, 1), (MODIFIED, 2), (MODIFIED, 3)],
+        ids=["original-alice-mode", "original-bob-code", "original-alice-code",
+             "modified-bob-mode", "modified-alice-mode", "modified-bob-code",
+             "modified-alice-code"],
+    )
     @pytest.mark.parametrize("bad", [-0.2, 1.0, float("nan"), float("inf")])
-    def test_a_code_uniform_outside_the_unit_interval_is_refused(self, protocol, bad):
+    def test_a_code_uniform_outside_the_unit_interval_is_refused(self, protocol, position, bad):
         # a code is the quarter bin of its uniform, like every other draw, so
-        # -0.2 is bin -1, not code 0, and no bad uniform becomes a code
-        codes_at = 1 if protocol == ORIGINAL else 2  # after the modes
-        for position in (codes_at, codes_at + 1):  # Bob's code, Alice's
-            row = [0.9] * ROW_WIDTH  # both modes MM: both codes read a uniform
-            row[position] = bad
-            rounds = rounds_from_rows(RunConfig(protocol=protocol, rounds=1), [row], 7)
-            with pytest.raises(ValueError, match="^round 7: codes must be 0-3"):
-                next(rounds)
+        # -0.2 is bin -1, not code 0, and no bad uniform becomes a code; nor
+        # does a bad mode uniform read as CM (-0.2) or MM (1.0, nan, inf).
+        # The modes come first in a row (an original round draws Alice's
+        # only), then Bob's code and Alice's
+        row = [0.9] * ROW_WIDTH  # both modes MM: both codes read a uniform
+        row[position] = bad
+        rounds = rounds_from_rows(RunConfig(protocol=protocol, rounds=1), [row], 7)
+        with pytest.raises(ValueError, match="^round 7: codes must be 0-3"):
+            next(rounds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(PROTOCOLS),
+        st.sampled_from(STRATEGIES),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+        st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7]),
+    )
+    def test_blocks_play_as_the_rows_do(self, protocol, strategy, p_cm, seed, suppress, rounds):
+        # iter_rounds bins each block of a run without text payloads as
+        # columns; every round must be the one rounds_from_rows plays on its row
+        config = RunConfig(protocol=protocol, strategy=strategy, rounds=rounds, p_cm=p_cm,
+                           seed=seed, suppress_outcome_reveal=suppress)
+        blocks = [(t, t.shape) for t in iter_rounds(config)]
+        rows = [(t, t.shape) for t in rounds_from_rows(config, uniform_rows(seed, 0, rounds))]
+        assert blocks == rows
 
 
 def shape(t):
