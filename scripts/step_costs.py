@@ -17,16 +17,17 @@ change.  This script times each step bare, best of five runs:
                      temporary file, per transcript: a line each, written in
                      blocks to a real file, as ``run --output`` writes them
   run 10k            ``summarize(iter_rounds(config))`` of the same run, per
-                     round: the engine as ``run`` drives it, each block of
-                     rows binned in numpy, then one ``run_round_*`` call per
-                     round; the ``round P S`` rows below play rows one at a
-                     time, so they do not show the block path
+                     round: the engine as ``run`` drives it, each block's
+                     modes and round-table keys computed in numpy, then one
+                     ``run_round_*`` call per round; the ``round P S`` rows
+                     below play rows one at a time, so they do not show the
+                     block path
   cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
-                     on a fixed batch of rows: the row reads, the lookup
-                     of the round's shape in the strategy's round table,
-                     and ``shaped_transcript``
+                     on a fixed batch of rows: the mode reads, ``round_key``
+                     plus one flat lookup in the strategy's round table, and
+                     ``shaped_transcript``
 
 The batch is one modified/bell-substitution run of 64 rounds, and the
 10,000-round run has the same config; the engine rounds play the first 64

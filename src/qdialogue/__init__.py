@@ -50,8 +50,9 @@ from .protocol import (
     Mode,
     RoundTranscript,
     cm_check,
+    round_key,
     run_round_modified,
     run_round_original,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -19,15 +19,20 @@ row raises ``RowOverdrawError``.  A code is ALL_CODES[floor(4u)], a mode is
 CM iff u < p_cm, and a measurement outcome is the inverse CDF of its Born
 probabilities at u.
 
-Without a text queue every round reads the same positions, so
-``iter_rounds`` bins each block of a run without text payloads as columns:
-one numpy pass gives every round's modes and codes, and each round is then
-one ``run_round_*`` call.  ``rounds_from_rows`` is the row-at-a-time
-reference route, for any rows and for every run with text payloads; on the
-same rows the two give the same transcripts.  Because a round's row depends
-only on (seed, i), a shorter run is a prefix of a longer one, and a chunk
-of rounds [a, b) can start anywhere with ``PCG64(seed).advance(a *
-ROW_WIDTH)`` (see ``uniform_rows``) and be merged in any order.
+A round is one lookup on its round-table key, which ``protocol.round_key``
+makes from the two codes and the channel's uniforms.  Without a text queue
+every round reads the same positions, so ``iter_rounds`` plays each block
+of a run without text payloads as columns: the round's key is linear in
+the quarter bins floor(4u) of fixed columns, with weights read off
+``round_key`` (``_key_layout``), so one numpy expression gives every
+round's key and another its modes, and each round is then one
+``run_round_*`` call on them.  ``rounds_from_rows`` is the row-at-a-time
+reference route, for any rows and for every run with text payloads, and
+calls ``round_key`` per round; on the same rows the two give the same
+transcripts.  Because a round's row depends only on (seed, i), a shorter
+run is a prefix of a longer one, and a chunk of rounds [a, b) can start
+anywhere with ``PCG64(seed).advance(a * ROW_WIDTH)`` (see ``uniform_rows``)
+and be merged in any order.
 
 The oracle side never touches the statevector simulator: it enumerates the
 finitely many discrete branches of each strategy with exact rational
@@ -61,13 +66,12 @@ from .protocol import (
     ORIGINAL,
     POLICY,
     PROTOCOLS,
-    QUARTERS,
     ROW_NUMBER,
     ROWS,
     Mode,
     RoundTranscript,
-    channel_reads,
     draw_error,
+    round_key,
     run_round_modified,
     run_round_original,
 )
@@ -202,43 +206,56 @@ def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
     return _play_blocks(config)
 
 
-# a block's modes and codes are gathered from these in numpy, so that each
-# round is handed one of these very objects and no new one is made: a mode by
-# whether its uniform is below p_cm, a code by its quarter bin
+# a block's modes are gathered from this in numpy, by whether their uniform is
+# below p_cm, so that each round is handed one of these very objects
 _MODE_OF = np.array((Mode.MM, Mode.CM), dtype=object)
-_CODE_OF = np.array(QUARTERS, dtype=object)
+
+
+def _key_layout(strategy: str, codes_at: int) -> tuple[list[int], np.ndarray]:
+    """The columns of a row, from its codes' on, that a round's table key
+    reads, and the weight of each one's quarter bin in the key: with no
+    text queue the codes are the bins of ``row[codes_at]`` and the next
+    uniform, and ``round_key`` reads the rest from ``codes_at + 2`` on.  The
+    key is linear in its digits, so a column's weight is ``round_key`` of a
+    row whose only nonzero bin is 1, in that column."""
+    channel_at = codes_at + 2
+    columns, weights = [], []
+    for column in range(codes_at, ROW_WIDTH):
+        row = [0.0] * ROW_WIDTH
+        row[column] = 0.25
+        bob, alice = (int(4 * u) for u in row[codes_at:channel_at])
+        weight = round_key(strategy, bob, alice, row, channel_at)
+        if weight:
+            columns.append(column)
+            weights.append(weight)
+    return columns, np.array(weights, dtype=np.intp)
 
 
 def _play_blocks(config: RunConfig) -> Iterator[RoundTranscript]:
     """``iter_rounds`` of a run without text payloads.
 
     Without a text queue a round reads fixed positions of its row: the
-    modes, the two codes, then ``channel_reads(strategy)`` channel uniforms.
-    So each block is binned in one numpy pass, column by column, and its
-    rounds are then played by ``map``, one ``run_round_*`` call each,
-    handed the block's channel uniforms from the round's own on.
+    modes, then the codes and the channel uniforms that make its table key
+    (``_key_layout``).  So each block's modes and keys are computed in numpy,
+    column by column, and its rounds are then played by ``map``, one
+    ``run_round_*`` call each, handed the round's modes and key.
     """
     strategy, p_cm = config.strategy, config.p_cm
     original = config.protocol == ORIGINAL
     suppress = config.suppress_outcome_reveal and original
     codes_at = 1 if original else 2  # an original row holds Alice's mode only
-    channel_at = codes_at + 2
-    width = channel_reads(strategy)
+    columns, weights = _key_layout(strategy, codes_at)
 
     def block_rounds(first: int, block: np.ndarray) -> Iterator[RoundTranscript]:
         modes = _MODE_OF[(block[:, :codes_at] < p_cm).T.astype(np.intp)].tolist()
-        bob_codes, alice_codes = \
-            _CODE_OF[(4 * block[:, codes_at:channel_at].T).astype(np.intp)].tolist()
-        channel = block[:, channel_at:channel_at + width].ravel().tolist()
-        starts = range(0, len(channel), width)
+        keys = ((4 * block[:, columns]).astype(np.intp) @ weights).tolist()
         ids = range(first, first + len(block))
         if original:
             (alice_modes,) = modes
-            return map(run_round_original, bob_codes, alice_modes, alice_codes,
-                       repeat(strategy), repeat(channel), starts, ids, repeat(suppress))
+            return map(run_round_original, alice_modes, repeat(strategy), keys, ids,
+                       repeat(suppress))
         bob_modes, alice_modes = modes
-        return map(run_round_modified, bob_modes, bob_codes, alice_modes, alice_codes,
-                   repeat(strategy), repeat(channel), starts, ids)
+        return map(run_round_modified, bob_modes, alice_modes, repeat(strategy), keys, ids)
 
     firsts = range(0, config.rounds, BLOCK_ROWS)
     return chain.from_iterable(map(block_rounds, firsts, _blocks(config.seed, 0, config.rounds)))
@@ -254,9 +271,9 @@ def rounds_from_rows(
     ``first_round`` are validated on the call, before any row is read; a
     bad one raises ``ConfigurationError``.  Every uniform a round reads must
     lie in [0, 1): a mode's is compared with p_cm, and every other acts
-    only through its quarter bin floor(4u).  The codes' uniforms, the
-    channel's and the measurement's are looked up by their bins (see
-    ``protocol``), so a mode's uniform or one of them outside [0, 1) raises
+    only through its quarter bin floor(4u).  ``protocol.round_key`` checks
+    the bins of the codes' uniforms, the channel's and the measurement's,
+    so a mode's uniform or one of them outside [0, 1) raises the round's
     ``ValueError`` when its round is played.  A row too short for its round
     raises ``RowOverdrawError``.
     """
@@ -313,12 +330,14 @@ def _play_rows(
             else:
                 alice_code = row[at] // 0.25
                 at += 1
+            try:
+                key = round_key(strategy, bob_code, alice_code, row, at)
+            except ValueError:
+                raise draw_error(i) from None
             if original:
-                t = run_round_original(bob_code, alice_mode, alice_code, strategy, row, at,
-                                       round_id=i, suppress_outcome_reveal=suppress)
+                t = run_round_original(alice_mode, strategy, key, i, suppress)
             else:
-                t = run_round_modified(bob_mode, bob_code, alice_mode, alice_code, strategy,
-                                       row, at, round_id=i)
+                t = run_round_modified(bob_mode, alice_mode, strategy, key, i)
         except IndexError:
             raise RowOverdrawError(
                 f"round {i} read past the end of its row of {len(row)} uniforms"

@@ -36,11 +36,19 @@ multiple of 1/4, and a code is ALL_CODES[floor(4u)], so each uniform the
 round reads acts only through its quarter bin floor(4u).  The round is
 therefore a function of five digits, each 0-3, in the order it happens:
 Bob's code, the bin of the forward leg's uniform, Alice's code, the bin of
-the return leg's, the bin of the measurement's.  ``_round_table`` runs the
-legs for every key, on first use of the strategy, into
-``_ROUND_TABLES[strategy]``, and a round is one lookup there, on nested
-dicts keyed by those digits: a digit outside 0-3 finds no entry, and the
-round raises ValueError, never reading another key's.  The lookup gives the
+the return leg's, the bin of the measurement's; a leg that reads no
+uniform has digit 0.  They make the round's key
+
+    key = (((bob * 4 + forward) * 4 + alice) * 4 + back) * 4 + measure
+
+in 0-1023.  ``round_key`` computes it from the codes and a row's uniforms,
+checking every digit first, and is the one definition of which uniform
+feeds which digit; the harness's block path reads the same layout off it
+and computes a block's keys in numpy.  ``_round_table`` runs the legs for
+every key, on first use of the strategy, into the flat table
+``_ROUND_TABLES[strategy]``, and a round is one lookup there: a key that is
+not one of 0-1023 (-1, 1024, 2.5, None) finds no entry, and the round
+raises ``draw_error``, never reading another key's.  The lookup gives the
 local shape id ``shape_id(0, ...)``; the round's is ``row * ROW_STRIDE``
 plus that.  Its transcript is ``shaped_transcript(round_id, shape)``, a
 copy of the shape's fields with the round_id set.  The fields are built
@@ -56,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, partial
+from itertools import product
 from math import nextafter
 from typing import Sequence
 
@@ -297,24 +306,15 @@ def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     return t
 
 
-# the quarter bins of u in [0, 1), as floats: a round computes the bin
-# floor(4u) as u // 0.25, which is exact and cheaper than int(4 * u), and a
-# float key is found faster by a float than an int key is.  A code is the
-# bin of its uniform too, so the code levels are keyed by these floats (an
-# int code from a text queue hashes and compares equal to its float).  A
-# code handed as one of these very objects is found by identity, with no
-# comparison, which is how the harness hands a block's codes
-QUARTERS = (0.0, 1.0, 2.0, 3.0)
-# strategy -> (table, position of the return leg's uniform, of the
-# measurement's), relative to a round's first channel uniform; filled on
-# first use by ``_round_table``
-_ROUND_TABLES: dict[str, tuple[dict, int, int]] = {}
+# strategy -> its round table, {key: local shape id} for every key 0-1023
+# (see the module docstring); filled on first use by ``_round_table``
+_ROUND_TABLES: dict[str, dict[int, int]] = {}
 
 
-def _round_table(strategy: str) -> tuple[dict, int, int]:
-    """Tabulate ``strategy``'s round: table[bob_code][forward bin][alice_code]
-    [return bin][measurement bin] is the local shape id (see the module
-    docstring).  A leg that reads no uniform ignores its bin.
+def _round_table(strategy: str) -> dict[int, int]:
+    """Tabulate ``strategy``'s round: table[key] is the local shape id (see
+    the module docstring) of the round whose five digits make ``key``.  A
+    leg that reads no uniform ignores its bin.
 
     Each step, a leg or Bob's measurement, compares its uniform only with
     quarters and table values, and its result moves one way as the uniform
@@ -322,9 +322,9 @@ def _round_table(strategy: str) -> tuple[dict, int, int]:
     differ.  Each step is run at the lower end q/4 and at the last float
     below (q+1)/4, and a RuntimeError names the first whose results differ.
     """
-    forward, forward_reads, back, back_reads = LEGS[strategy]
+    forward, _, back, _ = LEGS[strategy]
 
-    def on_bin(name: str, step, q: float):
+    def on_bin(name: str, step, q: int):
         low, high = step(q / 4), step(nextafter((q + 1) / 4, 0))
         if low != high:
             raise RuntimeError(
@@ -333,46 +333,90 @@ def _round_table(strategy: str) -> tuple[dict, int, int]:
             )
         return low
 
-    # a subtree depends only on the inputs of its first step, so it is built
-    # once per distinct input and shared: a table holds 41 to 101 dicts, not
-    # the 341 of a tree with no shared nodes
+    # the steps run on nested dicts keyed by the digits, which are flattened
+    # into the table once built.  A subtree depends only on the inputs of its
+    # first step, so it is built once per distinct input and shared: 41 to 101
+    # dicts, not the 341 of a tree with no shared nodes
     @cache
     def measured(bob: int, alice: int, final: int, inferred: int | None) -> dict:
         measure = partial(bell_outcome, CDF[final])
         return {q: shape_id(0, bob, alice, on_bin("measurement", measure, q), inferred)
-                for q in QUARTERS}
+                for q in range(4)}
 
     @cache
     def returned(bob: int, alice: int, state: int, memory) -> dict:
         return {q: measured(bob, alice, *on_bin("return leg", lambda u: back(state, u, memory), q))
-                for q in QUARTERS}
+                for q in range(4)}
 
     @cache
     def received(bob: int, state: int, memory) -> dict:
-        return {code: returned(bob, alice, PAULI[state][alice], memory)
-                for alice, code in enumerate(QUARTERS)}
+        return {alice: returned(bob, alice, PAULI[state][alice], memory) for alice in range(4)}
 
-    table = {code: {q: received(bob, *on_bin("forward leg", partial(forward, PAULI[0][bob]), q))
-                    for q in QUARTERS} for bob, code in enumerate(QUARTERS)}
-    entry = _ROUND_TABLES[strategy] = (table, forward_reads, forward_reads + back_reads)
-    return entry
+    nested = {bob: {q: received(bob, *on_bin("forward leg", partial(forward, PAULI[0][bob]), q))
+                    for q in range(4)} for bob in range(4)}
+    # product() counts the digits up in key order, Bob's code the most significant
+    digits = product(range(4), repeat=5)
+    table = _ROUND_TABLES[strategy] = {
+        key: nested[bob][q_forward][alice][q_back][q_measure]
+        for key, (bob, q_forward, alice, q_back, q_measure) in enumerate(digits)
+    }
+    return table
 
 
-def channel_reads(strategy: str) -> int:
-    """How many uniforms a round under ``strategy`` reads from position
-    ``at`` on: the forward leg's, the return leg's and the measurement's
-    (see ``run_round_original``)."""
+# the digit of a code, or of a uniform's quarter bin u // 0.25, which is
+# exact: only 0-3 (or the equal floats) are found, and any other value,
+# NaN included, finds none
+_DIGIT = {0: 0, 1: 1, 2: 2, 3: 3}
+_DRAW_RULE = "codes must be 0-3 and uniforms lie in [0, 1)"
+
+
+def round_key(
+    strategy: str, bob_code: int, alice_code: int, uniforms: Sequence[float], at: int = 0
+) -> int:
+    """The key of a round's entry in ``strategy``'s round table (see the
+    module docstring).
+
+    Codes are ALL_CODES positions.  The channel reads ``uniforms`` from
+    position ``at`` on: the forward leg's uniform, the return leg's and
+    Bob's measurement's, in that order, each the next one its predecessors
+    did not read; a leg that reads none reads no position and its digit is
+    0.  This is the one definition of which uniform feeds which digit.
+
+    Every digit is checked before they are combined, so no bad digit can
+    make another round's key: a ValueError means a code outside 0-3 or a
+    uniform outside [0, 1), and an IndexError that ``uniforms`` ran out.
+    """
+    _, forward_reads, _, back_reads = LEGS[strategy]
+    digit = _DIGIT
     try:
-        _, _, measure_at = _ROUND_TABLES[strategy]
+        bob = digit[bob_code]
+        forward = digit[uniforms[at] // 0.25] if forward_reads else 0
+        alice = digit[alice_code]
+        back = digit[uniforms[at + forward_reads] // 0.25] if back_reads else 0
+        measure = digit[uniforms[at + forward_reads + back_reads] // 0.25]
     except KeyError:
-        _, _, measure_at = _round_table(strategy)
-    return measure_at + 1
+        raise ValueError(_DRAW_RULE) from None
+    return (((bob * 4 + forward) * 4 + alice) * 4 + back) * 4 + measure
 
 
 def draw_error(round_id: int) -> ValueError:
     """The error of round ``round_id`` drawn from a code outside 0-3 or a
-    uniform outside [0, 1)."""
-    return ValueError(f"round {round_id}: codes must be 0-3 and uniforms lie in [0, 1)")
+    uniform outside [0, 1), or handed a key outside 0-1023, which no such
+    draw makes."""
+    return ValueError(f"round {round_id}: {_DRAW_RULE}")
+
+
+def _missed(strategy: str, key: int, round_id: int) -> int:
+    """A round's local shape id when the lookup in ``run_round_*`` misses:
+    the strategy's table is built on first use, and a key not in it raises
+    the round's ``draw_error``."""
+    table = _ROUND_TABLES.get(strategy)
+    if table is None:
+        table = _round_table(strategy)
+    try:
+        return table[key]
+    except KeyError:
+        raise draw_error(round_id) from None
 
 
 # Both round functions play a round on its ``ROWS`` row as one lookup in the
@@ -380,53 +424,38 @@ def draw_error(round_id: int) -> ValueError:
 # every run, and a shared helper would cost each round one more call.
 
 def run_round_original(
-    bob_code: int,
     alice_mode: Mode,
-    alice_code: int,
     strategy: str,
-    uniforms: Sequence[float],
-    at: int = 0,
+    key: int,
     round_id: int = 0,
     suppress_outcome_reveal: bool = False,
 ) -> RoundTranscript:
     """Execute one round of the original protocol (Bob is always in MM).
 
-    Codes are ALL_CODES positions, as ints or as the equal floats (quarter
-    bins) that the harness draws.  ``alice_code`` is Alice's message in MM
-    or her sacrificial random bits in CM; ``bob_code`` is always Bob's
-    payload for the round.  The channel plays ``strategy``: the forward
-    leg, the return leg and Bob's measurement are handed the ``uniforms``
-    from position ``at`` on, in that order, each the next one its
-    predecessors did not read (a leg that reads none is handed the next one
-    and ignores it), ``channel_reads(strategy)`` in all.  With
+    ``key`` is the round's ``round_key``: Bob's code, which is always his
+    payload for the round; Alice's, her message in MM or her sacrificial
+    random bits in CM; and the quarter bins of the uniforms the channel,
+    which plays ``strategy``, and Bob's measurement read.  With
     ``suppress_outcome_reveal`` the outcome still reaches Alice (modelled
     as an out-of-band private reveal) but is omitted from the public
     announcements, which is what an eavesdropper reads.
 
-    An IndexError means ``uniforms`` ran out; a ValueError, a code outside
-    0-3 or a uniform outside [0, 1).
+    A key outside 0-1023 raises the round's ``draw_error``; no key reads
+    another key's entry.
     """
     row = _ORIGINAL_ROW[alice_mode][suppress_outcome_reveal]
     try:
-        table, back_at, measure_at = _ROUND_TABLES[strategy]
+        local = _ROUND_TABLES[strategy][key]
     except KeyError:
-        table, back_at, measure_at = _round_table(strategy)
-    try:
-        local = table[bob_code][uniforms[at] // 0.25][alice_code][
-            uniforms[at + back_at] // 0.25][uniforms[at + measure_at] // 0.25]
-    except KeyError:
-        raise draw_error(round_id) from None
+        local = _missed(strategy, key, round_id)
     return shaped_transcript(round_id, row * ROW_STRIDE + local)
 
 
 def run_round_modified(
     bob_mode: Mode,
-    bob_code: int,
     alice_mode: Mode,
-    alice_code: int,
     strategy: str,
-    uniforms: Sequence[float],
-    at: int = 0,
+    key: int,
     round_id: int = 0,
 ) -> RoundTranscript:
     """Execute one round of the modified dual-mode protocol.
@@ -437,12 +466,7 @@ def run_round_modified(
     """
     row = _MODIFIED_ROW[bob_mode][alice_mode]
     try:
-        table, back_at, measure_at = _ROUND_TABLES[strategy]
+        local = _ROUND_TABLES[strategy][key]
     except KeyError:
-        table, back_at, measure_at = _round_table(strategy)
-    try:
-        local = table[bob_code][uniforms[at] // 0.25][alice_code][
-            uniforms[at + back_at] // 0.25][uniforms[at + measure_at] // 0.25]
-    except KeyError:
-        raise draw_error(round_id) from None
+        local = _missed(strategy, key, round_id)
     return shaped_transcript(round_id, row * ROW_STRIDE + local)

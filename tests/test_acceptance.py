@@ -42,6 +42,7 @@ from qdialogue.protocol import (
     OUTCOME_REVEAL,
     PROTOCOLS,
     Mode,
+    round_key,
     run_round_modified,
     run_round_original,
 )
@@ -87,11 +88,12 @@ def test_criterion_1_honest_completeness_original():
     with criterion(1, "original protocol honest completeness, exhaustive and exact"):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                mm = run_round_original(2 * k + l, Mode.MM, 2 * i + j, NONE, uniforms(0))
+                key = round_key(NONE, 2 * k + l, 2 * i + j, uniforms(0))
+                mm = run_round_original(Mode.MM, NONE, key)
                 assert mm.outcome == BellIndex(k ^ i, l ^ j)
                 assert mm.bob_decoded == PauliCode(i, j)
                 assert mm.alice_decoded == PauliCode(k, l)
-                cm = run_round_original(2 * k + l, Mode.CM, 2 * i + j, NONE, uniforms(0))
+                cm = run_round_original(Mode.CM, NONE, key)
                 assert cm.outcome == BellIndex(k ^ i, l ^ j)
                 assert cm.check_passed is True
 
@@ -104,11 +106,9 @@ def test_criterion_2_honest_completeness_modified():
                     for i, j in BIT_PAIRS:
                         t = run_round_modified(
                             bob_mode,
-                            2 * k + l,
                             alice_mode,
-                            2 * i + j,
                             NONE,
-                            uniforms(0),
+                            round_key(NONE, 2 * k + l, 2 * i + j, uniforms(0)),
                         )
                         assert t.outcome == BellIndex(k ^ i, l ^ j)
                         kinds = [a.kind for a in t.announcements]
@@ -135,7 +135,8 @@ def test_criterion_3_replay_attack_reproduction(mc):
             for ek, el in BIT_PAIRS:
                 for i, j in BIT_PAIRS:
                     row = [(2 * ek + el + 0.5) / 4, *uniforms(1)]
-                    t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, BELL_SUBSTITUTION, row)
+                    key = round_key(BELL_SUBSTITUTION, 2 * k + l, 2 * i + j, row)
+                    t = run_round_original(Mode.CM, BELL_SUBSTITUTION, key)
                     assert t.eve_report.inferred_alice == PauliCode(i, j)
                     assert t.check_passed is True
 

@@ -48,6 +48,7 @@ from qdialogue.protocol import (
     PROTOCOLS,
     Announcement,
     Mode,
+    round_key,
     run_round_original,
 )
 
@@ -107,7 +108,7 @@ class TestTransparency:
         encoded = apply_pauli(encoded, PauliCode(0, 1))
         bare, _ = bell_measure(encoded, np.random.default_rng(seed))
         for mode in (Mode.MM, Mode.CM):
-            t = run_round_original(2, mode, 1, NONE, uniforms(seed))
+            t = run_round_original(mode, NONE, round_key(NONE, 2, 1, uniforms(seed)))
             assert t.outcome == bare
             assert t.eve_report is None
 
@@ -150,7 +151,8 @@ class TestBellSubstitution:
                 for i, j in BIT_PAIRS:
                     # Eve's code is the first uniform the channel reads
                     row = [code_uniform(ek, el), *uniforms(1)]
-                    t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, BELL_SUBSTITUTION, row)
+                    key = round_key(BELL_SUBSTITUTION, 2 * k + l, 2 * i + j, row)
+                    t = run_round_original(Mode.CM, BELL_SUBSTITUTION, key)
                     assert t.eve_report.inferred_alice == PauliCode(i, j)
                     assert t.outcome == BellIndex(k ^ i, l ^ j)
                     assert t.check_passed is True
@@ -185,7 +187,8 @@ class TestDisturbance:
             for i, j in BIT_PAIRS:
                 # Eve's code is the first uniform the channel reads
                 row = [code_uniform(code.k, code.l), *uniforms(3)]
-                t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, DISTURBANCE, row)
+                key = round_key(DISTURBANCE, 2 * k + l, 2 * i + j, row)
+                t = run_round_original(Mode.CM, DISTURBANCE, key)
                 assert t.outcome == BellIndex(k ^ i ^ code.k, l ^ j ^ code.l)
                 assert t.check_passed is (code == PauliCode(0, 0))
 

@@ -28,6 +28,7 @@ from qdialogue.protocol import (
     Mode,
     RoundTranscript,
     cm_check,
+    round_key,
     run_round_modified,
     run_round_original,
 )
@@ -54,7 +55,8 @@ class TestHonestCompletenessOriginal:
     def test_message_mode_exhaustive(self):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                t = run_round_original(2 * k + l, Mode.MM, 2 * i + j, NONE, uniforms(0))
+                key = round_key(NONE, 2 * k + l, 2 * i + j, uniforms(0))
+                t = run_round_original(Mode.MM, NONE, key)
                 assert t.outcome == BellIndex(k ^ i, l ^ j)
                 assert t.bob_decoded == PauliCode(i, j)
                 assert t.alice_decoded == PauliCode(k, l)
@@ -63,7 +65,8 @@ class TestHonestCompletenessOriginal:
     def test_checking_mode_exhaustive(self):
         for k, l in BIT_PAIRS:
             for i, j in BIT_PAIRS:
-                t = run_round_original(2 * k + l, Mode.CM, 2 * i + j, NONE, uniforms(0))
+                key = round_key(NONE, 2 * k + l, 2 * i + j, uniforms(0))
+                t = run_round_original(Mode.CM, NONE, key)
                 assert t.outcome == BellIndex(k ^ i, l ^ j)
                 assert t.check_performed and t.check_passed is True
                 assert t.bob_decoded is None and t.alice_decoded is None
@@ -77,11 +80,9 @@ class TestHonestCompletenessModified:
                     for i, j in BIT_PAIRS:
                         t = run_round_modified(
                             bob_mode,
-                            2 * k + l,
                             alice_mode,
-                            2 * i + j,
                             NONE,
-                            uniforms(0),
+                            round_key(NONE, 2 * k + l, 2 * i + j, uniforms(0)),
                         )
                         assert t.outcome == BellIndex(k ^ i, l ^ j)
                         if bob_mode is Mode.CM and alice_mode is Mode.CM:
@@ -100,28 +101,28 @@ class TestHonestCompletenessModified:
 
 class TestRoundExamples:
     def test_original_mm_example(self):
-        t = run_round_original(3, Mode.MM, 1, NONE, uniforms(0))
+        t = run_round_original(Mode.MM, NONE, round_key(NONE, 3, 1, uniforms(0)))
         assert t.outcome == BellIndex(1, 0)
         assert t.bob_decoded == PauliCode(0, 1)
         assert t.alice_decoded == PauliCode(1, 1)
 
     def test_original_cm_identity_example(self):
-        t = run_round_original(0, Mode.CM, 0, NONE, uniforms(0))
+        t = run_round_original(Mode.CM, NONE, round_key(NONE, 0, 0, uniforms(0)))
         assert t.outcome == BellIndex(0, 0)
         assert t.check_passed is True
 
     def test_modified_cm_cm_example(self):
-        t = run_round_modified(Mode.CM, 2, Mode.CM, 1, NONE, uniforms(0))
+        t = run_round_modified(Mode.CM, Mode.CM, NONE, round_key(NONE, 2, 1, uniforms(0)))
         assert t.outcome == BellIndex(1, 1)
         assert t.check_passed is True
 
     def test_modified_one_way_to_bob_example(self):
-        t = run_round_modified(Mode.CM, 1, Mode.MM, 2, NONE, uniforms(0))
+        t = run_round_modified(Mode.CM, Mode.MM, NONE, round_key(NONE, 1, 2, uniforms(0)))
         assert t.bob_decoded == PauliCode(1, 0)
         assert OUTCOME_REVEAL not in kinds(t)
 
     def test_modified_mm_mm_all_zero(self):
-        t = run_round_modified(Mode.MM, 0, Mode.MM, 0, NONE, uniforms(0))
+        t = run_round_modified(Mode.MM, Mode.MM, NONE, round_key(NONE, 0, 0, uniforms(0)))
         assert t.outcome == BellIndex(0, 0)
         assert t.bob_decoded == PauliCode(0, 0)
         assert t.alice_decoded == PauliCode(0, 0)
@@ -129,32 +130,30 @@ class TestRoundExamples:
 
 class TestAnnouncementDiscipline:
     def test_original_mm_sequence(self):
-        t = run_round_original(2, Mode.MM, 1, NONE, uniforms(0))
+        t = run_round_original(Mode.MM, NONE, round_key(NONE, 2, 1, uniforms(0)))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, OUTCOME_REVEAL]
         assert t.announcements[1].payload is Mode.MM
         assert t.announcements[2].speaker == BOB
         assert t.announcements[2].payload == t.outcome
 
     def test_original_cm_sequence(self):
-        t = run_round_original(2, Mode.CM, 1, NONE, uniforms(0))
+        t = run_round_original(Mode.CM, NONE, round_key(NONE, 2, 1, uniforms(0)))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, OP_REVEAL]
         assert t.announcements[2].speaker == ALICE
         assert t.announcements[2].payload == PauliCode(0, 1)
 
     def test_suppressed_outcome_reveal_still_decodes(self):
         t = run_round_original(
-            2,
             Mode.MM,
-            1,
             NONE,
-            uniforms(0),
+            round_key(NONE, 2, 1, uniforms(0)),
             suppress_outcome_reveal=True,
         )
         assert OUTCOME_REVEAL not in kinds(t)
         assert t.alice_decoded == PauliCode(1, 0)
 
     def test_modified_cm_cm_sequence(self):
-        t = run_round_modified(Mode.CM, 2, Mode.CM, 1, NONE, uniforms(0))
+        t = run_round_modified(Mode.CM, Mode.CM, NONE, round_key(NONE, 2, 1, uniforms(0)))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL, OP_REVEAL, OP_REVEAL, OUTCOME_REVEAL]
         # Alice's op-reveal comes before any of Bob's reveals
         speakers = [(a.kind, a.speaker) for a in t.announcements[3:]]
@@ -163,16 +162,16 @@ class TestAnnouncementDiscipline:
         assert speakers[2] == (OUTCOME_REVEAL, BOB)
 
     def test_modified_modes_revealed_after_measurement(self):
-        t = run_round_modified(Mode.MM, 0, Mode.MM, 0, NONE, uniforms(0))
+        t = run_round_modified(Mode.MM, Mode.MM, NONE, round_key(NONE, 0, 0, uniforms(0)))
         assert kinds(t)[:3] == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL]
         assert [a.speaker for a in t.announcements[1:3]] == [BOB, ALICE]
 
     def test_modified_one_way_to_bob_reveals_nothing_extra(self):
-        t = run_round_modified(Mode.CM, 3, Mode.MM, 1, NONE, uniforms(0))
+        t = run_round_modified(Mode.CM, Mode.MM, NONE, round_key(NONE, 3, 1, uniforms(0)))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL]
 
     def test_modified_one_way_to_alice_reveals_outcome_only(self):
-        t = run_round_modified(Mode.MM, 3, Mode.CM, 1, NONE, uniforms(0))
+        t = run_round_modified(Mode.MM, Mode.CM, NONE, round_key(NONE, 3, 1, uniforms(0)))
         assert kinds(t) == [RECEIPT_ACK, MODE_REVEAL, MODE_REVEAL, OUTCOME_REVEAL]
         assert OP_REVEAL not in kinds(t)
 
@@ -192,8 +191,8 @@ class TestModeIndependence:
         for strategy in STRATEGIES:
             for bob, alice in product(range(4), repeat=2):
                 for seed in self.SEEDS:
-                    row = uniforms(seed)
-                    results = {self._physics(run_round_original(bob, mode, alice, strategy, row))
+                    key = round_key(strategy, bob, alice, uniforms(seed))
+                    results = {self._physics(run_round_original(mode, strategy, key))
                                for mode in ALL_MODES}
                     assert len(results) == 1, (strategy, bob, alice, seed)
 
@@ -201,27 +200,21 @@ class TestModeIndependence:
         for strategy in STRATEGIES:
             for bob, alice in product(range(4), repeat=2):
                 for seed in self.SEEDS:
-                    row = uniforms(seed)
+                    key = round_key(strategy, bob, alice, uniforms(seed))
                     results = {
-                        self._physics(run_round_modified(bob_mode, bob, alice_mode, alice,
-                                                         strategy, row))
+                        self._physics(run_round_modified(bob_mode, alice_mode, strategy, key))
                         for bob_mode, alice_mode in product(ALL_MODES, repeat=2)
                     }
                     assert len(results) == 1, (strategy, bob, alice, seed)
 
     def test_the_table_key_takes_no_mode(self):
-        # table[bob code][forward bin][alice code][return bin][measurement bin],
-        # each digit 0-3, and nothing else
+        # the flat table is keyed by the 1,024 ints of five digits, each 0-3,
+        # and by nothing else; round_key, which makes them, is handed no mode
+        assert "mode" not in "".join(inspect.signature(round_key).parameters)
         for strategy in STRATEGIES:
-            table = protocol_mod._round_table(strategy)[0]
-            paths = set()
-            for bob, by_forward in table.items():
-                for q_forward, by_alice in by_forward.items():
-                    for alice, by_back in by_alice.items():
-                        for q_back, by_measure in by_back.items():
-                            paths.update((bob, q_forward, alice, q_back, q)
-                                         for q in by_measure)
-            assert paths == set(product(range(4), repeat=5)), strategy
+            table = protocol_mod._round_table(strategy)
+            assert list(table) == list(range(1024)), strategy
+            assert {type(key) for key in table} == {int}, strategy
 
 
 class TestTranscriptInvariants:
@@ -325,7 +318,7 @@ class TestTranscriptConstructor:
                 twin.round_id = 8
 
     def test_shape_is_not_a_field(self):
-        t = run_round_modified(Mode.MM, 2, Mode.CM, 1, NONE, uniforms(0))
+        t = run_round_modified(Mode.MM, Mode.CM, NONE, round_key(NONE, 2, 1, uniforms(0)))
         plain = replace(t)  # through __init__, which knows no shape
         assert t.shape is not None and plain.shape is None
         assert "shape" not in [f.name for f in fields(t)]

@@ -2,10 +2,11 @@
 
 Every ``CDF`` entry and tap ``P(1)`` is a multiple of 1/4, so a round reads
 each of its uniforms only through its quarter bin, and ``protocol`` plays a
-round as one lookup in a table derived from ``adversary.LEGS``.  These tests
-pin that table three ways: its build refuses tables that are not constant
-on quarter bins, its exact law is the oracle's, and on rows at the bins'
-edges it plays every round as the legs composed directly do.
+round as one lookup in a flat table derived from ``adversary.LEGS``, keyed
+by ``round_key``.  These tests pin that table three ways: its build refuses
+tables that are not constant on quarter bins, its exact law is the
+oracle's, and on rows at the bins' edges it plays every round as the legs
+composed directly do.  A bad digit or key reaches no other key's entry.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from qdialogue.protocol import (
     PROTOCOLS,
     ROW_NUMBER,
     Mode,
+    round_key,
     run_round_modified,
     run_round_original,
     shape_id,
@@ -57,12 +59,12 @@ def table_law(strategy):
     """{(bob, alice, outcome, inferred alice or None): exact probability} of a
     round that looks its shape up in the table: 1/16 per code pair and 1/4
     per quarter bin of each uniform the round reads."""
-    table, back_at, measure_at = protocol_mod._round_table(strategy)
-    n = measure_at + 1
+    table = protocol_mod._round_table(strategy)
+    n = reads(strategy)
     law = {}
     for bob, alice in product(range(4), repeat=2):
         for bins in product(range(4), repeat=n):
-            local = table[bob][bins[0]][alice][bins[back_at]][bins[measure_at]]
+            local = table[round_key(strategy, bob, alice, [q / 4 for q in bins])]
             rest, eve = divmod(local, 5)
             rest, outcome = divmod(rest, 4)
             assert divmod(rest, 4) == (bob, alice)  # row 0, the round's own codes
@@ -102,7 +104,7 @@ class TestTabulationGuard:
 
     def test_the_tables_are_built_on_first_use(self, monkeypatch):
         monkeypatch.setattr(protocol_mod, "_ROUND_TABLES", {})
-        run_round_original(1, Mode.MM, 2, MEASURE_RESEND, [0.1, 0.6])
+        run_round_original(Mode.MM, MEASURE_RESEND, round_key(MEASURE_RESEND, 1, 2, [0.1, 0.6]))
         assert list(protocol_mod._ROUND_TABLES) == [MEASURE_RESEND]
 
 
@@ -135,11 +137,11 @@ def test_rounds_at_the_quarter_edges_match_the_legs(strategy):
     rounds = [
         *((ROW_NUMBER[ORIGINAL, Mode.MM, mode, suppressed],
            lambda b, a, u, mode=mode, suppressed=suppressed: run_round_original(
-               b, mode, a, strategy, u, suppress_outcome_reveal=suppressed))
+               mode, strategy, round_key(strategy, b, a, u), suppress_outcome_reveal=suppressed))
           for mode in Mode for suppressed in (False, True)),
         *((ROW_NUMBER[MODIFIED, bob_mode, alice_mode, False],
            lambda b, a, u, bob_mode=bob_mode, alice_mode=alice_mode: run_round_modified(
-               bob_mode, b, alice_mode, a, strategy, u))
+               bob_mode, alice_mode, strategy, round_key(strategy, b, a, u)))
           for bob_mode in Mode for alice_mode in Mode),
     ]
     for uniforms in product(EDGES, repeat=reads(strategy)):
@@ -152,25 +154,45 @@ def test_rounds_at_the_quarter_edges_match_the_legs(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_bin_outside_the_quarters_is_refused(strategy):
-    """A uniform outside [0, 1), or a code outside 0-3, reaches no other
-    key's entry: the round raises, at every position it reads."""
+    """A uniform outside [0, 1), or a code outside 0-3, makes no key: the
+    digits are checked before they are combined, at every position the
+    round reads, so none can carry into or borrow from its neighbour."""
     n = reads(strategy)
     bad_uniforms = (1.0, 1.25, -0.25, -0.1, -1.0, float("inf"), float("nan"))
     for position, bad in product(range(n), bad_uniforms):
         uniforms = [0.5] * n
         uniforms[position] = bad
         with pytest.raises(ValueError, match="uniforms lie in"):
-            run_round_original(1, Mode.MM, 2, strategy, uniforms)
+            round_key(strategy, 1, 2, uniforms)
     for code in (4, -1):
         with pytest.raises(ValueError, match="codes must be 0-3"):
-            run_round_modified(Mode.MM, code, Mode.CM, 0, strategy, [0.5] * n)
+            round_key(strategy, code, 0, [0.5] * n)
         with pytest.raises(ValueError, match="codes must be 0-3"):
-            run_round_modified(Mode.MM, 0, Mode.CM, code, strategy, [0.5] * n)
+            round_key(strategy, 0, code, [0.5] * n)
+    # combined first, Bob's code -1 and every other digit 3 make the key -1,
+    # which a tuple table would read as its last entry
+    with pytest.raises(ValueError, match="codes must be 0-3"):
+        round_key(strategy, -1, 3, [0.9] * n)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("key", [-1, 1024, 2.5, None])
+@pytest.mark.parametrize("built", [False, True], ids=["first-use", "built"])
+def test_a_key_outside_the_table_is_refused(strategy, key, built, monkeypatch):
+    """A key that no draw makes reaches no entry, before or after the
+    strategy's table is built: the round raises its own error."""
+    monkeypatch.setattr(protocol_mod, "_ROUND_TABLES", {})
+    if built:
+        protocol_mod._round_table(strategy)
+    for play in (lambda: run_round_original(Mode.MM, strategy, key, 7),
+                 lambda: run_round_modified(Mode.CM, Mode.MM, strategy, key, 7)):
+        with pytest.raises(ValueError, match="^round 7: codes must be 0-3"):
+            play()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_short_row_still_runs_out(strategy):
-    # the round reads the same positions the legs did, so one uniform
-    # fewer is an IndexError, which the harness reports as an overdraw
+    # the key reads the same positions the legs did, so one uniform fewer
+    # is an IndexError, which the harness reports as an overdraw
     with pytest.raises(IndexError):
-        run_round_original(0, Mode.MM, 0, strategy, [0.5] * (reads(strategy) - 1))
+        round_key(strategy, 0, 0, [0.5] * (reads(strategy) - 1))
