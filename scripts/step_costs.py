@@ -19,15 +19,19 @@ change.  This script times each step bare, best of five runs:
   run 10k            ``summarize(iter_rounds(config))`` of the same run, per
                      round: the engine as ``run`` drives it, each block's
                      modes and round-table keys computed in numpy, then one
-                     ``run_round_*`` call per round; the ``round P S`` rows
-                     below play rows one at a time, so they do not show the
-                     block path
+                     ``run_round_*`` call per round
+  run text 10k       the same with a text of 2,500 ASCII bytes per party,
+                     which lasts the whole run: each block also works out
+                     which rounds take a text code, so this row against
+                     ``run 10k`` is what a text payload costs
   cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
-                     on a fixed batch of rows: the mode reads, ``round_key``
-                     plus one flat lookup in the strategy's round table, and
-                     ``shaped_transcript``
+                     on a fixed batch of rows: the adapter copies the rows
+                     into one padded block and checks what each round reads,
+                     then the engine plays the block as ``iter_rounds`` does,
+                     so this includes the block's numpy work and the
+                     engine's setup, spread over the batch
 
 The batch is one modified/bell-substitution run of 64 rounds, and the
 10,000-round run has the same config; the engine rounds play the first 64
@@ -61,6 +65,7 @@ from qdialogue.protocol import MODIFIED, PROTOCOLS, RoundTranscript, shaped_tran
 STRATEGY = BELL_SUBSTITUTION
 BATCH = 64
 LONG_RUN = 10_000
+TEXT_BYTES = 2_500  # per party: 10,000 codes, more than a 10,000-round run sends
 
 
 def _drain(calls) -> None:
@@ -78,6 +83,8 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
     long_config = RunConfig(protocol=MODIFIED, strategy=STRATEGY, rounds=LONG_RUN, seed=1)
     batch = list(iter_rounds(replace(long_config, rounds=BATCH)))
     long_run = list(iter_rounds(long_config))
+    text = "".join(chr(ord("a") + i % 26) for i in range(TEXT_BYTES))
+    text_config = replace(long_config, alice_text=text, bob_text=text)
     lines = [transcript_to_line(t) for t in batch]  # fills the line cache
     _drain(map(parse_transcript_line, lines))  # and the parser's
     values = [tuple(getattr(t, f.name) for f in fields(t)) for t in batch]
@@ -101,6 +108,7 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
         ("write 10k", lambda: _write_to_file(long_run), LONG_RUN),
         ("run 10k", lambda: summarize(iter_rounds(long_config)), LONG_RUN),
+        ("run text 10k", lambda: summarize(iter_rounds(text_config)), LONG_RUN),
         ("cli parse", lambda: _drain(map(parser.parse_args, argvs)), BATCH),
         *(engine_round(p, s) for p in PROTOCOLS for s in (NONE, BELL_SUBSTITUTION)),
     ]

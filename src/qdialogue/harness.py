@@ -14,25 +14,28 @@ round reads its row by position, in this order: the modes (Bob's first; an
 original round draws Alice's only), Bob's code, Alice's code, then the
 uniforms its channel legs and Bob's measurement read (see ``protocol``).  A
 code taken from a text queue reads no uniform, so later positions move up;
-unread uniforms are skipped, and a round that reads past the end of a short
-row raises ``RowOverdrawError``.  A code is ALL_CODES[floor(4u)], a mode is
+unread uniforms are skipped.  A code is ALL_CODES[floor(4u)], a mode is
 CM iff u < p_cm, and a measurement outcome is the inverse CDF of its Born
 probabilities at u.
 
 A round is one lookup on its round-table key, which ``protocol.round_key``
-makes from the two codes and the channel's uniforms.  Without a text queue
-every round reads the same positions, so ``iter_rounds`` plays each block
-of a run without text payloads as columns: the round's key is linear in
-the quarter bins floor(4u) of fixed columns, with weights read off
-``round_key`` (``_key_layout``), so one numpy expression gives every
-round's key and another its modes, and each round is then one
-``run_round_*`` call on them.  ``rounds_from_rows`` is the row-at-a-time
-reference route, for any rows and for every run with text payloads, and
-calls ``round_key`` per round; on the same rows the two give the same
-transcripts.  Because a round's row depends only on (seed, i), a shorter
-run is a prefix of a longer one, and a chunk of rounds [a, b) can start
-anywhere with ``PCG64(seed).advance(a * ROW_WIDTH)`` (see ``uniform_rows``)
-and be merged in any order.
+makes from the two codes and the channel's uniforms.  There is one engine,
+``_play_blocks``, and it plays each block of rows as columns.  A round's
+key is linear in the quarter bins floor(4u) of its row and in its text
+codes, in one of 4 layouts, by which of its codes come from a text, with
+weights read off ``round_key`` (``_layout``).  Which rounds take a text
+code is a running count of the rounds that carry each party's code,
+carried from block to block.  So a few numpy expressions give every
+round's modes and key, and each round is then one ``run_round_*`` call on
+them.  ``iter_rounds`` plays the run's own stream; ``rounds_from_rows``
+plays any rows, full or short, through the same engine, and checks in
+numpy what each round reads: a read past the end of a short row raises
+``RowOverdrawError``, and a uniform outside [0, 1) the round's
+``ValueError``.  Because a round's row depends only on (seed, i), a shorter
+run is a prefix of a longer one, and a chunk of rounds [a, b) of a run
+without text payloads can start anywhere with
+``PCG64(seed).advance(a * ROW_WIDTH)`` (see ``uniform_rows``) and be merged
+in any order.
 
 The oracle side never touches the statevector simulator: it enumerates the
 finitely many discrete branches of each strategy with exact rational
@@ -50,10 +53,10 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, islice, product, repeat, starmap
 from numbers import Real
 from operator import mul
 from typing import IO, Iterable, Iterator, Sequence
@@ -66,8 +69,6 @@ from .protocol import (
     ORIGINAL,
     POLICY,
     PROTOCOLS,
-    ROW_NUMBER,
-    ROWS,
     Mode,
     RoundTranscript,
     draw_error,
@@ -194,71 +195,9 @@ def _blocks(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
 
 
 def iter_rounds(config: RunConfig) -> Iterator[RoundTranscript]:
-    """The run's transcripts, one round at a time; the config is validated first.
-
-    A run without text payloads plays each block of rows as columns, with
-    the transcripts ``rounds_from_rows`` gives on the same rows; a run with
-    one plays its rows one at a time, through ``rounds_from_rows``.
-    """
+    """The run's transcripts, one round at a time; the config is validated first."""
     config.validate()
-    if config.alice_text or config.bob_text:
-        return rounds_from_rows(config, uniform_rows(config.seed, 0, config.rounds))
-    return _play_blocks(config)
-
-
-# a block's modes are gathered from this in numpy, by whether their uniform is
-# below p_cm, so that each round is handed one of these very objects
-_MODE_OF = np.array((Mode.MM, Mode.CM), dtype=object)
-
-
-def _key_layout(strategy: str, codes_at: int) -> tuple[list[int], np.ndarray]:
-    """The columns of a row, from its codes' on, that a round's table key
-    reads, and the weight of each one's quarter bin in the key: with no
-    text queue the codes are the bins of ``row[codes_at]`` and the next
-    uniform, and ``round_key`` reads the rest from ``codes_at + 2`` on.  The
-    key is linear in its digits, so a column's weight is ``round_key`` of a
-    row whose only nonzero bin is 1, in that column."""
-    channel_at = codes_at + 2
-    columns, weights = [], []
-    for column in range(codes_at, ROW_WIDTH):
-        row = [0.0] * ROW_WIDTH
-        row[column] = 0.25
-        bob, alice = (int(4 * u) for u in row[codes_at:channel_at])
-        weight = round_key(strategy, bob, alice, row, channel_at)
-        if weight:
-            columns.append(column)
-            weights.append(weight)
-    return columns, np.array(weights, dtype=np.intp)
-
-
-def _play_blocks(config: RunConfig) -> Iterator[RoundTranscript]:
-    """``iter_rounds`` of a run without text payloads.
-
-    Without a text queue a round reads fixed positions of its row: the
-    modes, then the codes and the channel uniforms that make its table key
-    (``_key_layout``).  So each block's modes and keys are computed in numpy,
-    column by column, and its rounds are then played by ``map``, one
-    ``run_round_*`` call each, handed the round's modes and key.
-    """
-    strategy, p_cm = config.strategy, config.p_cm
-    original = config.protocol == ORIGINAL
-    suppress = config.suppress_outcome_reveal and original
-    codes_at = 1 if original else 2  # an original row holds Alice's mode only
-    columns, weights = _key_layout(strategy, codes_at)
-
-    def block_rounds(first: int, block: np.ndarray) -> Iterator[RoundTranscript]:
-        modes = _MODE_OF[(block[:, :codes_at] < p_cm).T.astype(np.intp)].tolist()
-        keys = ((4 * block[:, columns]).astype(np.intp) @ weights).tolist()
-        ids = range(first, first + len(block))
-        if original:
-            (alice_modes,) = modes
-            return map(run_round_original, alice_modes, repeat(strategy), keys, ids,
-                       repeat(suppress))
-        bob_modes, alice_modes = modes
-        return map(run_round_modified, bob_modes, alice_modes, repeat(strategy), keys, ids)
-
-    firsts = range(0, config.rounds, BLOCK_ROWS)
-    return chain.from_iterable(map(block_rounds, firsts, _blocks(config.seed, 0, config.rounds)))
+    return _play_blocks(config, zip(_blocks(config.seed, 0, config.rounds), repeat(None)), 0)
 
 
 def rounds_from_rows(
@@ -266,83 +205,159 @@ def rounds_from_rows(
 ) -> Iterator[RoundTranscript]:
     """Play one round per row of uniforms, numbering them from ``first_round``.
 
-    This is the row-at-a-time route: any rows, full or short, one at a time,
-    and the route of every run with text payloads.  The config and
-    ``first_round`` are validated on the call, before any row is read; a
-    bad one raises ``ConfigurationError``.  Every uniform a round reads must
-    lie in [0, 1): a mode's is compared with p_cm, and every other acts
-    only through its quarter bin floor(4u).  ``protocol.round_key`` checks
-    the bins of the codes' uniforms, the channel's and the measurement's,
-    so a mode's uniform or one of them outside [0, 1) raises the round's
-    ``ValueError`` when its round is played.  A row too short for its round
-    raises ``RowOverdrawError``.
+    The config and ``first_round`` are validated on the call, before any row
+    is read; a bad one raises ``ConfigurationError``.  The rows, full, short
+    or long, are then played as ``iter_rounds`` plays its own, in blocks of
+    up to ``BLOCK_ROWS``, and what each round reads is checked in numpy by
+    one rule.  A round reads its modes first: a row too short for them
+    raises ``RowOverdrawError``, and a mode's uniform outside [0, 1) the
+    round's ``draw_error`` ``ValueError``.  Then a row too short for the
+    round's other reads (its codes, channel and measurement) raises
+    ``RowOverdrawError``, and any of those uniforms outside [0, 1) the
+    round's ``ValueError``.  Every round before the first bad one is yielded
+    first, and none after it.
     """
     config.validate()
     if not _is_int(first_round) or first_round < 0:
-        raise ConfigurationError(
-            f"first_round must be a non-negative integer, got {first_round!r}"
-        )
-    return _play_rows(config, rows, first_round)
+        raise ConfigurationError(f"first_round must be a non-negative integer, got {first_round!r}")
+    # a generator, which ends at the error, so that no later round is played
+    return (t for t in _play_blocks(config, _row_blocks(rows), first_round))
 
 
-def _play_rows(
-    config: RunConfig, rows: Iterable[Sequence[float]], first_round: int
+def _row_blocks(rows: Iterable[Sequence[float]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows in blocks of up to BLOCK_ROWS, each as a ROW_WIDTH-wide
+    array, zero-padded, with the length of each row."""
+    rows = iter(rows)
+    while batch := list(islice(rows, BLOCK_ROWS)):
+        block = np.zeros((len(batch), ROW_WIDTH))
+        for values, row in zip(block, batch):
+            values[:len(row)] = row[:ROW_WIDTH]
+        yield block, np.array([len(row) for row in batch])
+
+
+# a block's modes are gathered from this in numpy, by whether their uniform is
+# below p_cm, so that each round is handed one of these very objects
+_MODE_OF = np.array((Mode.MM, Mode.CM), dtype=object)
+_COLUMNS = np.arange(ROW_WIDTH)
+_PAIR = np.array((2, 1))  # a round's modes -> its pair, 2 * (Bob in CM) + (Alice in CM)
+
+
+@cache
+def _layout(protocol: str, strategy: str) -> tuple:
+    """What a round of ``protocol`` under ``strategy`` reads, worked out once:
+    (codes_at, weights, reads, carries, scale).
+
+    ``codes_at`` is the row position of the first code: a row holds Bob's
+    mode, in a modified round, then Alice's.  ``weights[layout]`` is the
+    weight in a round's table key of each quarter bin of its row, then of
+    Bob's text code and of Alice's, for each layout 2 * (Bob's code from
+    text) + (Alice's code from text).  A code not from text is the bin of
+    the next uniform from ``row[codes_at]`` on, and ``round_key`` reads the
+    channel's uniforms after the codes.  The key is linear in its digits, so
+    a digit's weight is ``round_key`` of a round whose only nonzero digit is
+    a 1 there.  ``reads[layout]`` is how many uniforms such a round reads:
+    every one up to its last key digit.  ``carries[pair]`` says whether Bob's
+    code, then Alice's, carries a message in a round of that pair of modes,
+    2 * (Bob in CM) + (Alice in CM): a code does iff the other party decodes
+    it (``POLICY``); Bob is in MM in every original round, so it has only
+    the pairs 0 and 1.  ``scale`` is a column's weight in ``_play_blocks``'s
+    faults.
+    """
+    codes_at = 1 if protocol == ORIGINAL else 2
+    weights = np.zeros((4, ROW_WIDTH + 2), dtype=np.intp)
+    for layout, column in product(range(4), range(ROW_WIDTH + 2)):
+        digits = [0] * (ROW_WIDTH + 2)
+        digits[column] = 1
+        codes, at = [], codes_at
+        for party, from_text in enumerate(divmod(layout, 2)):
+            codes.append(digits[ROW_WIDTH + party] if from_text else digits[at])
+            at += not from_text
+        weights[layout, column] = round_key(strategy, *codes, [d / 4 for d in digits], at)
+    reads = np.array([np.flatnonzero(w[:ROW_WIDTH])[-1] + 1 for w in weights])
+    policies = [POLICY[protocol, bob, alice]
+                for bob in (Mode.MM, Mode.CM)[:codes_at] for alice in (Mode.MM, Mode.CM)]
+    carries = np.array([(policy.alice_decodes, policy.bob_decodes) for policy in policies])
+    return codes_at, weights, reads, carries, np.where(_COLUMNS < codes_at, 3, 1)
+
+
+def _raising(error: Exception) -> Iterator:
+    """An iterator whose first ``next`` raises ``error``."""
+    raise error
+    yield  # unreachable: it makes this a generator
+
+
+def _play_blocks(
+    config: RunConfig, blocks: Iterable[tuple[np.ndarray, np.ndarray | None]], first_round: int
 ) -> Iterator[RoundTranscript]:
-    alice_queue = deque(_code_positions(config.alice_text))
-    bob_queue = deque(_code_positions(config.bob_text))
+    """Play each block of rows as columns, numbering the rounds from ``first_round``.
+
+    ``blocks`` yields (block, lengths): the rows, and the length of each
+    before padding, or None for rows of the stream, which need no check.  A
+    round reads its row by position: the modes, each code that does not
+    come from a text queue, then the uniforms of its channel.  So its table
+    key is linear in its row's quarter bins and its text codes, in one of 4
+    layouts (``_layout``).  A code carries a message iff the other
+    party decodes it (``POLICY``), and it comes from the party's text while
+    that lasts: while a text lasts, a running count of the rounds that
+    carry its party's code, carried from block to block, picks out the
+    rounds that take a text code.  So each block's modes and keys are
+    computed in numpy, and its rounds are then played by ``map``, one
+    ``run_round_*`` call each, handed the round's modes and key.
+    """
     strategy, p_cm = config.strategy, config.p_cm
     original = config.protocol == ORIGINAL
     suppress = config.suppress_outcome_reveal and original
-    # Alice's mode is read at row[alice_at], Bob's (modified only) at row[0];
-    # the codes follow
-    alice_at = 0 if original else 1
-    mode = {False: Mode.MM, True: Mode.CM}  # by whether the mode's uniform is below p_cm
+    codes_at, weights, reads, carries, scale = _layout(config.protocol, strategy)
+    columns = np.flatnonzero(weights[0, :ROW_WIDTH])  # the bins of a round without text
+    texts = (_code_positions(config.bob_text), _code_positions(config.alice_text))
+    totals = np.array([len(text) for text in texts])
+    queued = np.zeros((totals.max() + 1, 2), dtype=np.intp)  # column p: party p's codes, then 0
+    for party, text in enumerate(texts):
+        queued[:len(text), party] = text
+    first, used = first_round, np.zeros(2, dtype=np.intp)
 
-    def pair(bob_mode: Mode, alice_mode: Mode) -> tuple:
-        """The pair's modes, and whether Bob's code, then Alice's, carries a
-        message: a code does iff the other party decodes it (see ``ROWS``)."""
-        policy = ROWS[ROW_NUMBER[config.protocol, bob_mode, alice_mode, suppress]][1]
-        return bob_mode, alice_mode, policy.alice_decodes, policy.bob_decodes
+    def block_rounds(block: np.ndarray, lengths: np.ndarray | None) -> Iterator[RoundTranscript]:
+        nonlocal first, used
+        # what goes wrong when a round reads a column of a checked row: 1, its
+        # uniform is outside [0, 1); 2, it lies past the row's end; 3 and 6 on
+        # a mode's column (``scale``), so that a round's largest fault is the
+        # one it meets first.  The bad uniforms are zeroed, to be binned safely
+        if lengths is not None:
+            fault = np.where(_COLUMNS < lengths[:, None], ~((block >= 0) & (block < 1)), 2) * scale
+            block = np.where(fault, 0.0, block)
+        cm = block[:, :codes_at] < p_cm
+        if (used < totals).any():
+            carry = carries[cm @ _PAIR[-codes_at:]]
+            count = used + carry.cumsum(0)
+            from_text = carry & (count <= totals)
+            codes = queued[np.minimum(count, len(queued)) - 1, (0, 1)] * from_text
+            layout = from_text @ _PAIR
+            keys = (np.hstack(((4 * block).astype(np.intp), codes)) * weights[layout]).sum(1)
+            used = np.minimum(count[-1], totals)
+            read = reads[layout][:, None]
+        else:
+            keys = (4 * block[:, columns]).astype(np.intp) @ weights[0, columns]
+            read = reads[0]
+        error = None
+        if lengths is not None and (fault := np.where(_COLUMNS < read, fault, 0).max(1)).any():
+            n = int(fault.argmax())  # the first bad round
+            error = draw_error(first + n) if fault[n] % 2 else RowOverdrawError(
+                f"round {first + n} read past the end of its row of {lengths[n]} uniforms")
+            cm, keys = cm[:n], keys[:n]
+        modes = _MODE_OF[cm.T.astype(np.intp)].tolist()
+        ids = range(first, first + len(keys))
+        first += len(keys)
+        keys = keys.tolist()
+        if original:
+            (alice_modes,) = modes
+            rounds = map(run_round_original, alice_modes, repeat(strategy), keys, ids,
+                         repeat(suppress))
+        else:
+            bob_modes, alice_modes = modes
+            rounds = map(run_round_modified, bob_modes, alice_modes, repeat(strategy), keys, ids)
+        return rounds if error is None else chain(rounds, _raising(error))
 
-    # fixed for the run: plan[b][a] is the pair of a round whose row[0] and
-    # row[alice_at] are below p_cm iff b and a.  An original round has Bob in
-    # MM and reads only row[0], so b changes nothing there.  Keyed by bool, not
-    # indexed, so that a numpy row's comparisons work too
-    plan = {b: {a: pair(Mode.MM if original else mode[b], mode[a]) for a in mode} for b in mode}
-
-    for i, row in enumerate(rows, first_round):
-        try:
-            first_u, alice_u = row[0], row[alice_at]
-            if not (0.0 <= first_u < 1.0 and 0.0 <= alice_u < 1.0):
-                raise draw_error(i)
-            bob_mode, alice_mode, bob_carries, alice_carries = \
-                plan[first_u < p_cm][alice_u < p_cm]
-            at = alice_at + 1
-            # a code carrying a message comes from the party's text while it
-            # lasts; any other code reads a uniform
-            if bob_carries and bob_queue:
-                bob_code = bob_queue.popleft()
-            else:
-                bob_code = row[at] // 0.25
-                at += 1
-            if alice_carries and alice_queue:
-                alice_code = alice_queue.popleft()
-            else:
-                alice_code = row[at] // 0.25
-                at += 1
-            try:
-                key = round_key(strategy, bob_code, alice_code, row, at)
-            except ValueError:
-                raise draw_error(i) from None
-            if original:
-                t = run_round_original(alice_mode, strategy, key, i, suppress)
-            else:
-                t = run_round_modified(bob_mode, alice_mode, strategy, key, i)
-        except IndexError:
-            raise RowOverdrawError(
-                f"round {i} read past the end of its row of {len(row)} uniforms"
-            ) from None
-        yield t
+    return chain.from_iterable(starmap(block_rounds, blocks))
 
 
 def _contribution(t: RoundTranscript) -> tuple:
@@ -421,10 +436,11 @@ def run_sessions(config: RunConfig) -> tuple[RunSummary, list[RoundTranscript]]:
 # ---------------------------------------------------------------------------
 # text payloads
 
-def _code_positions(text: str) -> list[int]:
+def _code_positions(text: str) -> np.ndarray:
     """The UTF-8 bytes of ``text`` as 2-bit ALL_CODES positions, most
     significant pair first."""
-    return [(byte >> shift) & 0b11 for byte in text.encode("utf-8") for shift in (6, 4, 2, 0)]
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    return (data[:, None] >> np.array((6, 4, 2, 0), dtype=np.uint8) & 0b11).ravel()
 
 
 def text_to_codes(text: str) -> list[PauliCode]:

@@ -10,7 +10,9 @@ hands out the row's uniforms in order, and the four strategies are spelled
 out on vectors.  It builds each transcript field by field from the round's
 ``POLICY`` row.  Both must give the same transcripts, field for field, and
 the same shape ids; a row too short for its round must raise
-``RowOverdrawError`` on both.
+``RowOverdrawError`` on both.  The engine plays rows in blocks, so the
+property also draws texts that outlast a block, and blocks of a few rows,
+so that runs and text queues cross block edges.
 """
 
 from collections import deque
@@ -18,9 +20,11 @@ from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from conftest import BIT_PAIRS, TRAVEL_BIT, U_ORACLE, on_travel, oracle_bell
 from hypothesis import given, settings
 
+from qdialogue import harness
 from qdialogue.adversary import (
     BELL_SUBSTITUTION,
     DISTURBANCE,
@@ -156,7 +160,8 @@ def played(rounds):
     return out, False
 
 
-texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+# up to 12 characters, 48 or more codes: enough to outlast a block of a few rows
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,9 +176,11 @@ texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
     alice_text=texts,
     bob_text=texts,
     cut=st.one_of(st.none(), st.integers(0, ROW_WIDTH - 1)),
+    block_rows=st.one_of(st.none(), st.integers(2, 5)),
 )
 def test_engine_rounds_match_the_statevector_reference(
-    protocol, strategy, p_cm, seed, first_round, rounds, suppress, alice_text, bob_text, cut
+    protocol, strategy, p_cm, seed, first_round, rounds, suppress, alice_text, bob_text, cut,
+    block_rows,
 ):
     config = RunConfig(protocol=protocol, strategy=strategy, p_cm=p_cm, seed=seed,
                        alice_text=alice_text, bob_text=bob_text,
@@ -181,7 +188,10 @@ def test_engine_rounds_match_the_statevector_reference(
     rows = list(uniform_rows(seed, first_round, first_round + rounds))
     if cut is not None:  # a short last row: both overdraw it, or neither does
         rows[-1] = rows[-1][:cut]
-    engine, engine_overdrew = played(rounds_from_rows(config, rows, first_round))
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:  # blocks of a few rows: a run crosses block edges
+            patch.setattr(harness, "BLOCK_ROWS", block_rows)
+        engine, engine_overdrew = played(rounds_from_rows(config, rows, first_round))
     reference, reference_overdrew = played(reference_rounds(config, rows, first_round))
     assert engine_overdrew == reference_overdrew
     assert len(engine) == len(reference) >= rounds - 1

@@ -7,6 +7,7 @@ acceptance suite; here the runs are kept small for fast feedback.
 import io
 import json
 from collections import Counter
+from itertools import accumulate, chain
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qdialogue import harness
 from qdialogue.adversary import BELL_SUBSTITUTION, STRATEGIES
 from qdialogue.bell_core import BellIndex, PauliCode
 from qdialogue.harness import (
@@ -125,6 +127,13 @@ def advanced_rows(seed: int, start: int, stop: int) -> np.ndarray:
     bit_generator = np.random.PCG64(seed)
     bit_generator.advance(start * ROW_WIDTH)
     return np.random.Generator(bit_generator).random((stop - start, ROW_WIDTH))
+
+
+# texts of 2,880 and 720 codes (12 bytes a phrase): at p_cm 0.5 a party
+# sends a code in about every other round, so the first outlasts a block of
+# rows and the second runs out in the run's second block
+LONG_TEXT = "ψ → noon " * 60
+TEXTS = ["", "ok", "ψ → noon " * 15, LONG_TEXT]
 
 
 class TestUniformStream:
@@ -254,15 +263,93 @@ class TestUniformStream:
         st.integers(0, 2**64 - 1),
         st.booleans(),
         st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7]),
+        st.sampled_from(TEXTS),
+        st.sampled_from(TEXTS),
+        st.lists(st.integers(1, 2 * BLOCK_ROWS), max_size=4),
     )
-    def test_blocks_play_as_the_rows_do(self, protocol, strategy, p_cm, seed, suppress, rounds):
-        # iter_rounds bins each block of a run without text payloads as
-        # columns; every round must be the one rounds_from_rows plays on its row
+    def test_a_run_plays_as_its_rows_do_in_any_chunks(
+        self, protocol, strategy, p_cm, seed, suppress, rounds, alice_text, bob_text, sizes
+    ):
+        # iter_rounds plays the run's stream in blocks; rounds_from_rows must
+        # play the same rows, handed over in chunks of any size, as arrays or
+        # lists, to the same rounds, text queues included
         config = RunConfig(protocol=protocol, strategy=strategy, rounds=rounds, p_cm=p_cm,
-                           seed=seed, suppress_outcome_reveal=suppress)
-        blocks = [(t, t.shape) for t in iter_rounds(config)]
-        rows = [(t, t.shape) for t in rounds_from_rows(config, uniform_rows(seed, 0, rounds))]
-        assert blocks == rows
+                           seed=seed, alice_text=alice_text, bob_text=bob_text,
+                           suppress_outcome_reveal=suppress)
+        run = [(t, t.shape) for t in iter_rounds(config)]
+        bounds = sorted({0, rounds, *(end for end in accumulate(sizes) if end < rounds)})
+        chunks = [advanced_rows(seed, a, b) for a, b in zip(bounds, bounds[1:])]
+        chunks = [chunk if i % 2 else chunk.tolist() for i, chunk in enumerate(chunks)]
+        rows = [(t, t.shape) for t in rounds_from_rows(config, chain.from_iterable(chunks))]
+        assert rows == run
+        if not (alice_text or bob_text):  # a chunk of a run without texts plays on its own
+            played = [(t, t.shape) for a, chunk in zip(bounds, chunks)
+                      for t in rounds_from_rows(config, chunk, a)]
+            assert played == run
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("defect", ["mode", "code", "channel", "short"])
+@pytest.mark.parametrize("block_rows, bad", [(None, 1500), (3, 1500), (3, 1501)],
+                         ids=["second-block", "block-start", "mid-block"])
+def test_a_bad_row_past_a_block_edge_raises_after_the_rounds_before_it(
+    protocol, defect, block_rows, bad, monkeypatch
+):
+    # row ``bad`` of 2000 has one defect; every earlier round is yielded
+    # (and teed) as on the good rows, then the bad round raises its error,
+    # numbered from first_round, and no later round is played
+    if block_rows is not None:
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
+    first_round = 40
+    config = RunConfig(protocol=protocol, strategy=BELL_SUBSTITUTION, p_cm=0.5,
+                       alice_text=LONG_TEXT, bob_text="ok")
+    rows = list(uniform_rows(9, 0, 2000))
+    expected = list(rounds_from_rows(config, rows, first_round))[:bad]
+    codes_at = 1 if protocol == ORIGINAL else 2  # the modes come first
+    row = rows[bad]
+    if defect == "mode":
+        row[codes_at - 1] = 1.5
+    elif defect == "code":  # Bob's 8-code text is long spent: his code reads a uniform
+        row[codes_at] = -0.2
+    elif defect == "channel":  # a channel uniform, whether or not Alice's code is from text
+        row[codes_at + 2] = float("nan")
+    else:
+        rows[bad] = row[:codes_at + 1]
+    error, match = (RowOverdrawError, f"^round {first_round + bad} read past the end of its row "
+                    f"of {codes_at + 1} uniforms$") if defect == "short" else \
+        (ValueError, f"^round {first_round + bad}: codes must be 0-3")
+    for tee in (False, True):
+        sink = io.StringIO()
+        rounds = rounds_from_rows(config, iter(rows), first_round)
+        if tee:
+            rounds = tee_transcripts(rounds, sink)
+        yielded = []
+        with pytest.raises(error, match=match) as raised:
+            for t in rounds:
+                yielded.append(t)
+        assert type(raised.value) is error
+        assert yielded == expected
+        assert [t.round_id for t in yielded] == list(range(first_round, first_round + bad))
+        assert list(rounds) == []  # a run that raised is over
+        if tee:
+            assert sink.getvalue() == reference_lines(expected)
+
+
+@pytest.mark.parametrize(
+    "protocol, row, error",
+    [(ORIGINAL, [0.9, 1.5, 0.3], RowOverdrawError), (ORIGINAL, [0.9, 1.5], RowOverdrawError),
+     (ORIGINAL, [1.5], ValueError), (MODIFIED, [1.5, 0.3], ValueError),
+     (MODIFIED, [1.5], RowOverdrawError), (ORIGINAL, [], RowOverdrawError)],
+)
+def test_a_round_meets_its_mode_range_then_its_overdraw_then_its_bin_range(protocol, row, error):
+    # one rule for a row with more than one defect: a round checks its modes
+    # (a row too short for them overdraws), then the length of its row, then
+    # the range of its other uniforms.  So [0.9, 1.5, 0.3], whose code
+    # uniform 1.5 is out of range and whose measurement is past its end,
+    # overdraws
+    rounds = rounds_from_rows(RunConfig(protocol=protocol), [row], 4)
+    with pytest.raises(error, match="^round 4[ :]"):
+        next(rounds)
 
 
 def shape(t):
