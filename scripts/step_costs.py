@@ -7,7 +7,8 @@ change.  This script times each step bare, best of five runs:
 
   construct          one ``RoundTranscript(...)`` from a round's field values
   shaped transcript  ``shaped_transcript(round_id, shape)``: the copy of a
-                     shape's fields that a simulated round and a parse hit return
+                     shape's fields that a simulated round and a parse hit
+                     build inline
   parse hit          ``parse_transcript_line`` on a line whose tail is cached
   to_line hit        ``transcript_to_line`` on a transcript whose tail is cached
   summarize          ``summarize`` over a batch, per transcript
@@ -16,6 +17,10 @@ change.  This script times each step bare, best of five runs:
   write 10k          ``write_transcripts`` of the same run into a new
                      temporary file, per transcript: a line each, written in
                      blocks to a real file, as ``run --output`` writes them
+  replay 10k         ``summarize(parse_transcript_line(line) for line in
+                     lines)`` over the lines of the same run's ``--output``
+                     file, newlines kept, per line: the transcript-replay
+                     workload's own loop, without the file reads
   run 10k            ``summarize(iter_rounds(config))`` of the same run, per
                      round: the engine as ``run`` drives it, each block's
                      modes and round-table keys computed in numpy, then one
@@ -27,8 +32,9 @@ change.  This script times each step bare, best of five runs:
   cli parse          one ``run`` argv parsed by the parser ``cli.main`` uses
   round P S          one engine round of protocol P under strategy S
                      (none, bell-substitution), through ``rounds_from_rows``
-                     on a fixed batch of rows: the adapter copies the rows
-                     into one padded block and checks what each round reads,
+                     on a fixed batch of rows: the adapter checks that each
+                     row holds real numbers, copies the rows into one padded
+                     block and checks what each round reads,
                      then the engine plays the block as ``iter_rounds`` does,
                      so this includes the block's numpy work and the
                      engine's setup, spread over the batch
@@ -42,6 +48,7 @@ rows of seed 1's stream with p_cm 0.5.
 
 from __future__ import annotations
 
+import io
 import tempfile
 import timeit
 from collections import deque
@@ -83,6 +90,9 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
     long_config = RunConfig(protocol=MODIFIED, strategy=STRATEGY, rounds=LONG_RUN, seed=1)
     batch = list(iter_rounds(replace(long_config, rounds=BATCH)))
     long_run = list(iter_rounds(long_config))
+    sink = io.StringIO()
+    write_transcripts(long_run, sink)
+    file_lines = sink.getvalue().splitlines(keepends=True)
     text = "".join(chr(ord("a") + i % 26) for i in range(TEXT_BYTES))
     text_config = replace(long_config, alice_text=text, bob_text=text)
     lines = [transcript_to_line(t) for t in batch]  # fills the line cache
@@ -107,6 +117,8 @@ def step_costs(number: int = 200) -> list[tuple[str, float]]:
         ("summarize", lambda: summarize(batch), BATCH),
         ("summarize 10k", lambda: summarize(iter(long_run)), LONG_RUN),
         ("write 10k", lambda: _write_to_file(long_run), LONG_RUN),
+        ("replay 10k", lambda: summarize(parse_transcript_line(line) for line in file_lines),
+         LONG_RUN),
         ("run 10k", lambda: summarize(iter_rounds(long_config)), LONG_RUN),
         ("run text 10k", lambda: summarize(iter_rounds(text_config)), LONG_RUN),
         ("cli parse", lambda: _drain(map(parser.parse_args, argvs)), BATCH),

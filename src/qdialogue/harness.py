@@ -53,12 +53,14 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice, product, repeat, starmap
 from numbers import Real
-from operator import mul
+from operator import attrgetter, mul
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -75,6 +77,7 @@ from .protocol import (
     round_key,
     run_round_modified,
     run_round_original,
+    shaped_transcript,
 )
 from .transcript_codec import (  # noqa: F401 (re-exported)
     TranscriptFormatError,
@@ -214,25 +217,58 @@ def rounds_from_rows(
     round's ``draw_error`` ``ValueError``.  Then a row too short for the
     round's other reads (its codes, channel and measurement) raises
     ``RowOverdrawError``, and any of those uniforms outside [0, 1) the
-    round's ``ValueError``.  Every round before the first bad one is yielded
-    first, and none after it.
+    round's ``ValueError``.  A row whose values are not all real numbers
+    (a str or bytes that reads as one included) raises the round's
+    ``TypeError``; a bool is a number, so ``True`` lies outside [0, 1).
+    Every round before the first bad one is yielded first, and none after
+    it.
     """
     config.validate()
     if not _is_int(first_round) or first_round < 0:
         raise ConfigurationError(f"first_round must be a non-negative integer, got {first_round!r}")
     # a generator, which ends at the error, so that no later round is played
-    return (t for t in _play_blocks(config, _row_blocks(rows), first_round))
+    return (t for t in _play_blocks(config, _row_blocks(rows, first_round), first_round))
 
 
-def _row_blocks(rows: Iterable[Sequence[float]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _row_blocks(
+    rows: Iterable[Sequence[float]], first_round: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The rows in blocks of up to BLOCK_ROWS, each as a ROW_WIDTH-wide
-    array, zero-padded, with the length of each row."""
+    array, zero-padded, with the length of each row.
+
+    A row whose first ROW_WIDTH values are not all real numbers (see
+    ``_real_values``) ends the blocks: the rows before it come as one more
+    block, then its round, numbered from ``first_round``, raises
+    ``TypeError``.
+    """
     rows = iter(rows)
     while batch := list(islice(rows, BLOCK_ROWS)):
         block = np.zeros((len(batch), ROW_WIDTH))
-        for values, row in zip(block, batch):
-            values[:len(row)] = row[:ROW_WIDTH]
+        for n, (values, row) in enumerate(zip(block, batch)):
+            real = _real_values(row)
+            if real is None:
+                if n:
+                    yield block[:n], np.array([len(row) for row in batch[:n]])
+                raise TypeError(f"round {first_round + n}: a row's values must be real numbers, "
+                                f"got {reprlib.repr(row)}")
+            values[:len(real)] = real
         yield block, np.array([len(row) for row in batch])
+        first_round += len(batch)
+
+
+def _real_values(row: Sequence[float]) -> np.ndarray | None:
+    """The first ROW_WIDTH values of ``row`` as a 1-d array, or None unless
+    they are all real numbers.  A bool is one; a str or bytes is not, even
+    one that numpy would read as a number, nor is a sequence."""
+    try:
+        values = np.asarray(row[:ROW_WIDTH])
+    except ValueError:  # ragged: some values are sequences
+        return None
+    kind = values.dtype.kind
+    if values.ndim == 1 and (
+            kind in "biuf" or kind == "O" and all(isinstance(v, Real) for v in values)):
+        return values
+    return None
 
 
 # a block's modes are gathered from this in numpy, by whether their uniform is
@@ -377,31 +413,32 @@ def _contribution(t: RoundTranscript) -> tuple:
     )
 
 
+_shape_of = attrgetter("shape")
 _CONTRIBUTIONS: dict[int, tuple] = {}  # shape id -> the contribution of a round of it
+SUMMARY_CHUNK = 64  # transcripts summarize holds at once: few, so peak RSS stays put
 
 
 def summarize(transcripts: Iterable[RoundTranscript]) -> RunSummary:
     """Fold a sequence of transcripts into a RunSummary.
 
-    Rounds of one shape contribute alike, so a shaped transcript is only
-    counted, and a shape's contribution is worked out once.  Each summary
-    count is then one column of the contributions folded with the shape
-    counts.  A transcript without a shape is counted under its own
-    contribution.
+    Rounds of one shape contribute alike, so shaped transcripts are only
+    counted: ``Counter`` counts the shape ids of each chunk of
+    ``SUMMARY_CHUNK`` transcripts, with no Python loop per transcript, and
+    a shape's contribution is worked out once.  A chunk that holds
+    transcripts without a shape also counts each of those under its own
+    contribution.  Each summary count is then one column of the
+    contributions folded with the counts.
     """
-    counts: dict[int, int] = {}
-    loose: dict[tuple, int] = {}  # the contribution of a shapeless transcript -> its count
-    for t in transcripts:
-        shape = t.shape
-        if shape in counts:
-            counts[shape] += 1
-        elif shape is None:
-            contribution = _contribution(t)
-            loose[contribution] = loose.get(contribution, 0) + 1
-        else:
-            counts[shape] = 1
-            if shape not in _CONTRIBUTIONS:
-                _CONTRIBUTIONS[shape] = _contribution(t)
+    counts: Counter = Counter()  # shape id -> its count
+    loose: Counter = Counter()  # the contribution of a shapeless transcript -> its count
+    transcripts = iter(transcripts)
+    while chunk := list(islice(transcripts, SUMMARY_CHUNK)):
+        counts.update(map(_shape_of, chunk))
+        if None in counts:
+            del counts[None]
+            loose.update(_contribution(t) for t in chunk if t.shape is None)
+    for shape in counts.keys() - _CONTRIBUTIONS.keys():
+        _CONTRIBUTIONS[shape] = _contribution(shaped_transcript(0, shape))
     contributions = [*map(_CONTRIBUTIONS.__getitem__, counts), *loose]
     weights = [*counts.values(), *loose.values()]
     totals = [sum(map(mul, column, weights)) for column in zip(*contributions)] or [0] * 15

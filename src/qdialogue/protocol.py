@@ -50,13 +50,13 @@ every key, on first use of the strategy, into the flat table
 not one of 0-1023 (-1, 1024, 2.5, None) finds no entry, and the round
 raises ``draw_error``, never reading another key's.  The lookup gives the
 local shape id ``shape_id(0, ...)``; the round's is ``row * ROW_STRIDE``
-plus that.  Its transcript is ``shaped_transcript(round_id, shape)``, a
-copy of the shape's fields with the round_id set.  The fields are built
-once per shape, on first use, from the id's digits, so the rules above run
-and a ``RoundTranscript`` is constructed once per shape, not once per
-round; the parser builds every transcript of a line the same way.  A round
-with a round_id that is not an exact int gets the same fields without a
-shape.
+plus that.  Its transcript is what ``shaped_transcript(round_id, shape)``
+gives, built inline: a copy of the shape's fields with the round_id set.
+The fields are built once per shape, on first use, from the id's digits,
+so the rules above run and a ``RoundTranscript`` is constructed once per
+shape, not once per round; the parser builds every transcript of a line
+the same way.  A round with a round_id that is not an exact int gets the
+same fields without a shape.
 """
 
 from __future__ import annotations
@@ -261,8 +261,11 @@ def shape_id(
 # shape id -> the __dict__ of a transcript of that shape, filled on first use:
 # a run meets a few dozen to a few hundred of the N_SHAPES ids
 _TEMPLATES: dict[int, dict] = {}
-# bound once: every simulated round and parsed line calls both
-_new_object, _set_attribute = object.__new__, object.__setattr__
+# bound once: every simulated round and parsed line calls both.  A
+# transcript's fields are set through its class's ``__dict__`` descriptor,
+# which the frozen dataclass's __setattr__ does not guard
+_new_object = object.__new__
+_set_fields = RoundTranscript.__dict__["__dict__"].__set__
 
 
 def _template(shape: int) -> dict:
@@ -302,7 +305,7 @@ def shaped_transcript(round_id: int, shape: int) -> RoundTranscript:
     if type(round_id) is not int:
         del fields["shape"]
     t = _new_object(RoundTranscript)
-    _set_attribute(t, "__dict__", fields)
+    _set_fields(t, fields)
     return t
 
 
@@ -420,8 +423,9 @@ def _missed(strategy: str, key: int, round_id: int) -> int:
 
 
 # Both round functions play a round on its ``ROWS`` row as one lookup in the
-# strategy's table, each written out in full: a round is the hot path of
-# every run, and a shared helper would cost each round one more call.
+# strategy's table and build its transcript as ``shaped_transcript`` does,
+# each written out in full: a round is the hot path of every run, and a
+# shared helper would cost each round one more call.
 
 def run_round_original(
     alice_mode: Mode,
@@ -448,7 +452,17 @@ def run_round_original(
         local = _ROUND_TABLES[strategy][key]
     except KeyError:
         local = _missed(strategy, key, round_id)
-    return shaped_transcript(round_id, row * ROW_STRIDE + local)
+    shape = row * ROW_STRIDE + local
+    try:
+        fields = _TEMPLATES[shape].copy()
+    except KeyError:
+        fields = _template(shape).copy()
+    fields["round_id"] = round_id
+    if type(round_id) is not int:
+        del fields["shape"]
+    t = _new_object(RoundTranscript)
+    _set_fields(t, fields)
+    return t
 
 
 def run_round_modified(
@@ -469,4 +483,14 @@ def run_round_modified(
         local = _ROUND_TABLES[strategy][key]
     except KeyError:
         local = _missed(strategy, key, round_id)
-    return shaped_transcript(round_id, row * ROW_STRIDE + local)
+    shape = row * ROW_STRIDE + local
+    try:
+        fields = _TEMPLATES[shape].copy()
+    except KeyError:
+        fields = _template(shape).copy()
+    fields["round_id"] = round_id
+    if type(round_id) is not int:
+        del fields["shape"]
+    t = _new_object(RoundTranscript)
+    _set_fields(t, fields)
+    return t

@@ -20,18 +20,21 @@ A line is '{"round_id":N' and a tail that the round's shape fixes (see
 few dozen to a few hundred.  So the codec works per shape, in two tables
 with no cap, each bounded by the shape universe.  ``TAILS`` maps a shape id
 to its tail, filled on first use from the reference line, so writing a
-shaped transcript is a head, its round_id and one lookup.  The parser maps
-a canonical tail to its shape id, and a hit is ``protocol.shaped_transcript``
-of the line's round_id and that id; a miss takes the full parse once, and
-its tail enters the map only if the transcript re-serializes to the line
-byte for byte.  A transcript without a shape (built by hand or by
-``dataclasses.replace``) always takes the reference serializer.
+shaped transcript is a head, its round_id and one lookup.  The parser
+splits a line at its first comma and checks the head with plain str
+operations (see ``parse_transcript_line``).  It maps a canonical tail to
+the fields of its shape's round, and a hit is a copy of those fields with
+the line's round_id, built inline as ``protocol.shaped_transcript`` builds
+one, with no regex match and no second call per line.  A miss takes the
+full parse once, and its tail enters the map only if the transcript
+re-serializes to the line byte for byte.  A transcript without a shape
+(built by hand or by ``dataclasses.replace``) always takes the reference
+serializer.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 
 from .adversary import EveReport, replay_report
@@ -49,6 +52,8 @@ from .protocol import (
     Announcement,
     Mode,
     RoundTranscript,
+    _new_object,
+    _set_fields,
     announcements_for,
     shape_id,
     shaped_transcript,
@@ -253,12 +258,10 @@ def record_to_transcript(rec: dict) -> RoundTranscript:
 # -- the line codec, per round shape (see the module docstring)
 
 _LINE_HEAD = '{"round_id":'
-# a canonical head: no sign, no leading zero, and the tail's comma next; ids
-# of 19 digits or more always take the full parse, which also keeps int() far
-# from its digit limit
-_CANONICAL_HEAD = re.compile(r'\{"round_id":(0|[1-9][0-9]{0,17})(?=,)')
 TAILS: dict[int, str] = {}  # shape id -> the line after '{"round_id":N'
-_PARSED: dict[str, int] = {}  # canonical tail -> the shape id of its rounds
+# a line's tail after its first comma, with no newline -> the fields of the
+# first round parsed with it, whose shape id object every hit shares
+_PARSED: dict[str, dict] = {}
 
 
 def _reference_line(t: RoundTranscript) -> str:
@@ -289,21 +292,30 @@ def _parse(line: str) -> RoundTranscript:
 def parse_transcript_line(line: str) -> RoundTranscript:
     """Parse one JSON line (an optional trailing newline included).
 
-    Raises ``TranscriptFormatError`` on a malformed line.  Once the head has
-    given canonical id digits, whether the line is valid and canonical
-    depends only on its tail, so a tail in the map is the canonical line of
-    a round that already passed the full parse.  Hit or miss, a parsed line
-    is the shape's template copy, so all rounds of a shape hold one shape id
-    object and ``summarize`` counts them by identity.
+    Raises ``TranscriptFormatError`` on a malformed line.  A canonical head
+    is '{"round_id":' and 1 to 18 ASCII digits 0-9 with no leading zero, up
+    to the line's first comma; a longer id always takes the full parse,
+    which also keeps int() far from its digit limit.  Once the head is
+    canonical, whether the line is valid and canonical depends only on its
+    tail, so a tail in the map is the canonical line of a round that
+    already passed the full parse.  Hit or miss, a parsed line is a copy of
+    its shape's fields, so all rounds of a shape hold one shape id object.
     """
-    head = _CANONICAL_HEAD.match(line)
-    if head is None:
+    head, _, tail = line.removesuffix("\n").partition(",")
+    digits = head[12:]  # 12 == len(_LINE_HEAD)
+    # a str is all ASCII digits iff it is isdigit() and isascii(): "٧" and
+    # "７" are digits that int() reads, but not JSON
+    if not (head[:12] == _LINE_HEAD and digits.isdigit() and digits.isascii()
+            and len(digits) <= 18 and (len(digits) == 1 or digits[0] != "0")):
         return _parse(line)
-    tail = line[head.end() : -1 if line.endswith("\n") else None]
-    shape = _PARSED.get(tail)
-    if shape is not None:
-        return shaped_transcript(int(head[1]), shape)
+    fields = _PARSED.get(tail)
+    if fields is not None:
+        fields = fields.copy()
+        fields["round_id"] = int(digits)
+        t = _new_object(RoundTranscript)
+        _set_fields(t, fields)
+        return t
     t = _parse(line)
-    if _LINE_HEAD + head[1] + tail == transcript_to_line(t):
-        _PARSED[tail] = t.shape
+    if head + "," + tail == transcript_to_line(t):
+        _PARSED[tail] = t.__dict__.copy()
     return t

@@ -8,7 +8,7 @@ import io
 import json
 from collections import Counter
 from itertools import accumulate, chain
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -27,6 +27,7 @@ from qdialogue.harness import (
     ConfigurationError,
     RowOverdrawError,
     RunConfig,
+    RunSummary,
     codes_to_text,
     delivered_codes,
     exact_oracle,
@@ -43,7 +44,16 @@ from qdialogue.harness import (
     write_summary,
     write_transcripts,
 )
-from qdialogue.protocol import MODIFIED, ORIGINAL, POLICY, PROTOCOLS, Mode
+from qdialogue.protocol import (
+    MODIFIED,
+    N_SHAPES,
+    ORIGINAL,
+    POLICY,
+    PROTOCOLS,
+    Mode,
+    RoundTranscript,
+    shaped_transcript,
+)
 
 
 def dump(transcripts) -> str:
@@ -350,6 +360,33 @@ def test_a_round_meets_its_mode_range_then_its_overdraw_then_its_bin_range(proto
     rounds = rounds_from_rows(RunConfig(protocol=protocol), [row], 4)
     with pytest.raises(error, match="^round 4[ :]"):
         next(rounds)
+
+
+@pytest.mark.parametrize("text", ["0.9", b"0.9"], ids=["str", "bytes"])
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_a_row_of_text_is_refused_not_read_as_numbers(text, block_rows, monkeypatch):
+    # numpy reads "0.9" and b"0.9" as 0.9, so such a row would play an MM
+    # round; a row's values must be real numbers.  The rounds before it are
+    # yielded, across a block edge too, and none after it
+    if block_rows is not None:
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
+    with pytest.raises(TypeError, match="^round 0: "):
+        list(rounds_from_rows(RunConfig(), [[text] * ROW_WIDTH]))
+    good = list(uniform_rows(5, 0, 6))
+    for bad in ([text] * ROW_WIDTH, [0.5] * (ROW_WIDTH - 1) + [text], text,
+                [0.5, [0.5, 0.5]] + [0.5] * (ROW_WIDTH - 2)):
+        rounds = rounds_from_rows(RunConfig(MODIFIED), good[:4] + [bad] + good[5:], 10)
+        yielded = []
+        with pytest.raises(TypeError, match="^round 14: a row's values must be real numbers"):
+            for t in rounds:
+                yielded.append(t)
+        assert yielded == list(rounds_from_rows(RunConfig(MODIFIED), good[:4], 10))
+        assert list(rounds) == []
+    # a bool is a number: True is 1, outside [0, 1); so is a Fraction
+    with pytest.raises(ValueError, match="^round 0: codes must be 0-3"):
+        list(rounds_from_rows(RunConfig(), [[True] * ROW_WIDTH]))
+    assert list(rounds_from_rows(RunConfig(), [[Fraction(9, 10)] * ROW_WIDTH])) \
+        == list(rounds_from_rows(RunConfig(), [[0.9] * ROW_WIDTH]))
 
 
 def shape(t):
@@ -669,7 +706,62 @@ class TestTranscriptWriter:
         assert sink.getvalue() == reference_lines(yielded)
 
 
+def summary_of_contributions(transcripts) -> RunSummary:
+    """The summary that summing ``_contribution`` over each transcript gives."""
+    totals = [sum(column) for column in zip(*map(harness._contribution, transcripts))] or [0] * 15
+    (total, cm, mm, mixed, checks, failed, alice_ok, alice_n, bob_ok, bob_n,
+     eve_a_ok, eve_a_n, eve_b_ok, eve_b_n, throughput) = totals
+
+    def rate(num, den):
+        return num / den if den else None
+
+    return RunSummary(total, cm, mm, mixed, checks, failed, rate(failed, checks),
+                      rate(alice_ok, alice_n), rate(bob_ok, bob_n), rate(eve_a_ok, eve_a_n),
+                      rate(eve_b_ok, eve_b_n), throughput)
+
+
+def transcript_of(kind: str, shape: int, round_id: int) -> RoundTranscript:
+    """A round of shape id ``shape``, built as ``kind`` says: shaped, by hand
+    through ``__init__``, by ``replace``, or with an unhashable list of
+    announcements; only a shaped one has a shape."""
+    t = shaped_transcript(round_id, shape)
+    if kind == "built":
+        return RoundTranscript(**{f.name: getattr(t, f.name) for f in fields(t)})
+    if kind == "replaced":
+        return replace(t, round_id=round_id + 1)
+    if kind == "unhashable":
+        return replace(t, announcements=list(t.announcements))
+    return t
+
+
 class TestSummarize:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["shaped", "built", "replaced", "unhashable"]),
+                           st.one_of(st.sampled_from([0, 7, 1234]), st.integers(0, N_SHAPES - 1))),
+                 max_size=40),
+        st.sampled_from([1, 2, 3, 7, None]),
+        st.booleans(),
+    )
+    def test_a_summary_is_the_sum_of_its_transcripts_contributions(self, picks, chunk, lazily):
+        # any mix and order of shaped and shapeless transcripts, in chunks of
+        # any size (None: the default), summarizes as their contributions sum
+        transcripts = [transcript_of(kind, shape, i) for i, (kind, shape) in enumerate(picks)]
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(harness, "SUMMARY_CHUNK", chunk)
+            summary = summarize(iter(transcripts) if lazily else transcripts)
+        assert summary == summary_of_contributions(transcripts)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, harness.SUMMARY_CHUNK + 3])
+    def test_shapeless_transcripts_at_the_chunk_edges_are_counted(self, extra):
+        rounds = harness.SUMMARY_CHUNK + extra
+        transcripts = list(iter_rounds(RunConfig(MODIFIED, BELL_SUBSTITUTION, rounds, seed=4)))
+        for i in {0, harness.SUMMARY_CHUNK - 1, harness.SUMMARY_CHUNK, rounds - 1} & set(range(rounds)):
+            transcripts[i] = transcript_of("unhashable", transcripts[i].shape, i)
+        assert summarize(iter(transcripts)) == summary_of_contributions(transcripts)
+        assert summarize(transcripts).rounds_total == rounds
+
     def test_empty_iterable(self):
         summary = summarize([])
         assert summary.rounds_total == 0

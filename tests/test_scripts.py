@@ -80,7 +80,7 @@ def test_step_costs_gives_positive_microseconds_per_step():
     rows = step_costs.step_costs(number=2)
     assert [name for name, _ in rows] == [
         "construct", "shaped transcript", "parse hit", "to_line hit", "summarize", "summarize 10k",
-        "write 10k", "run 10k", "run text 10k", "cli parse",
+        "write 10k", "replay 10k", "run 10k", "run text 10k", "cli parse",
         "round original none", "round original bell-substitution",
         "round modified none", "round modified bell-substitution",
     ]

@@ -1,9 +1,9 @@
 """The JSONL transcript codec: per-shape lines, typed parse failures, invariants.
 
 Both directions of the codec work per round shape: ``TAILS`` maps a shape
-id to its line tail, and the parser maps a canonical tail to its shape id
-and builds a hit with ``protocol.shaped_transcript``.  The reference they
-must match is the plain dict + json path:
+id to its line tail, and the parser maps a canonical tail to the fields of
+its shape's round and builds a hit as ``protocol.shaped_transcript`` does.
+The reference they must match is the plain dict + json path:
 ``json.dumps(transcript_to_record(t), separators=(",", ":"))`` to write and
 ``record_to_transcript(json.loads(line))`` to read.
 """
@@ -235,10 +235,21 @@ class TestParser:
             lambda line: line + "\n\n",
             lambda line: line + " ",
             lambda line: line[:-1] + ',"extra":1}',
+            # digits that int() reads but JSON does not, and numbers that
+            # JSON reads but not as a canonical id
+            lambda line: line.replace('{"round_id":7,', '{"round_id":\u0667,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":\uff17,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":+7,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":7.0,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":7e0,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":1000000000000000007,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_id":7\t,', 1),
+            lambda line: line.replace('{"round_id":7,', '{"round_ie":7,', 1),
         ],
         ids=["leading-zero", "negative", "duplicate-id-first", "duplicate-id-last",
              "space-after-head", "space-in-tail", "leading-space", "crlf", "two-newlines",
-             "trailing-space", "extra-key"],
+             "trailing-space", "extra-key", "arabic-indic-digit", "fullwidth-digit", "plus-sign",
+             "float", "exponent", "19-digits", "tab-before-comma", "misspelled-key"],
     )
     def test_non_canonical_lines_are_never_stored(self, variant, cold_memos):
         line = run_lines(ORIGINAL, "bell-substitution", rounds=8)[7]
@@ -259,13 +270,19 @@ class TestParser:
             assert parse_memo_size() == before
 
     @pytest.mark.parametrize("round_id", [10**18, 10**18 + 7, 2**64, 10**40])
-    def test_long_round_id_takes_the_full_parse(self, round_id, cold_memos):
-        # 19 digits or more: more than the canonical head admits
+    def test_long_round_id_takes_the_full_parse(self, round_id, cold_memos, json_loads_calls):
+        # 19 digits or more: more than the canonical head admits, so each
+        # parse is a full one, while 18 digits still hit
         line = run_lines(MODIFIED, "bell-substitution", rounds=1)[0]
         parse_transcript_line(line)  # warm: the tail is cached
+        longest = line.replace('{"round_id":0,', f'{{"round_id":{10**18 - 1},', 1)
+        before = json_loads_calls[0]
+        assert parse_transcript_line(longest).round_id == 10**18 - 1
+        assert json_loads_calls[0] == before
         long = line.replace('{"round_id":0,', f'{{"round_id":{round_id},', 1)
         assert parse_transcript_line(long) == reference_parse(long)
         assert parse_transcript_line(long).round_id == round_id
+        assert json_loads_calls[0] == before + 3  # two parses and the reference
         assert parse_memo_size() == 1
 
     def test_canonical_line_round_trips_byte_for_byte(self):
@@ -306,10 +323,20 @@ def test_builds_of_one_shape_share_no_fields():
 
 
 def test_a_round_id_that_is_not_an_int_gives_no_shape():
-    for round_id in (True, 7.0):
-        t = shaped_transcript(round_id, 7)
-        assert t.shape is None and t.round_id == round_id
-        assert t == replace(shaped_transcript(0, 7), round_id=round_id)
+    builds = [
+        lambda round_id: shaped_transcript(round_id, 7),
+        # the round functions build their transcripts inline, the same way
+        lambda round_id: protocol.run_round_original(protocol.Mode.CM, "none", 5, round_id),
+        lambda round_id: protocol.run_round_modified(
+            protocol.Mode.CM, protocol.Mode.MM, "bell-substitution", 5, round_id),
+    ]
+    for build in builds:
+        assert build(0).shape is not None
+        for round_id in (True, 7.0):
+            t = build(round_id)
+            assert t.shape is None and t.round_id == round_id
+            assert t == replace(build(0), round_id=round_id)
+            assert transcript_to_line(t) == reference_line(t)
 
 
 def test_importing_the_cli_fills_no_template():
@@ -383,10 +410,14 @@ def test_every_tail_in_the_parsers_map_is_canonical(cold_memos):
             except TranscriptFormatError:
                 pass
     assert 0 < parse_memo_size() <= N_SHAPES
-    for tail, shape in codec._PARSED.items():
+    # a tail is what follows a line's first comma, and it maps to the fields
+    # of its shape's round
+    for tail, fields in codec._PARSED.items():
+        shape = fields["shape"]
         t = rebuild(0, shape)
-        assert codec._reference_line(t) == '{"round_id":0' + tail
-        assert codec.TAILS[shape] == tail
+        assert codec._reference_line(t) == '{"round_id":0,' + tail
+        assert codec.TAILS[shape] == "," + tail
+        assert {**fields, "round_id": 0} == t.__dict__
 
 
 @settings(max_examples=60, deadline=None)
